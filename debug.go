@@ -60,16 +60,17 @@ func WithPprof() DebugOption {
 // (e.g. "localhost:6060", or "127.0.0.1:0" to pick a free port — read it
 // back from Addr). It serves:
 //
-//	/metrics          live telemetry in the Prometheus text format
+//	/metrics          live Stats counters in the Prometheus text format
 //	/debug/vars       expvar-style JSON snapshot of the same counters
 //	/debug/rebalance  the multi-device repartition history (JSON)
 //	/debug/trace      per-kind span counts and durations from the tracer
 //	/debug/pprof/     runtime profiling (only with WithPprof)
 //
-// The handlers read the instance's telemetry and trace snapshots, which are
-// safe against concurrent recording; enable FlagTelemetry and FlagTrace (or
-// their runtime toggles) for the endpoints to show live data. The server is
-// for diagnostics on trusted networks — it has no authentication.
+// Every endpoint reads the instance's one span tracer — Stats aggregates and
+// retained spans — whose snapshots are safe against concurrent recording;
+// enable FlagTelemetry or FlagTrace (one switch, also toggled at runtime by
+// EnableTelemetry or EnableTrace) for the endpoints to show live data. The
+// server is for diagnostics on trusted networks — it has no authentication.
 func (in *Instance) ServeDebug(addr string, opts ...DebugOption) (*DebugServer, error) {
 	var cfg debugConfig
 	for _, o := range opts {

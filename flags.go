@@ -37,10 +37,12 @@ const (
 	// FlagKernelX86 forces the loop-over-states x86 kernels on a GPU
 	// device; chiefly for experimentation.
 	FlagKernelX86
-	// FlagTelemetry enables the observability layer at creation: per-kernel
+	// FlagTelemetry turns on the instance's span tracer at creation, the
+	// one recorder behind both Instance.Stats and the trace export: per-kernel
 	// operation counters and duration histograms, effective-GFLOPS
-	// accounting, and scheduler level traces, read through Instance.Stats.
-	// Collection can also be toggled later with Instance.EnableTelemetry.
+	// accounting and scheduler dependency levels are all derived from its
+	// spans. It sets the same switch as FlagTrace; collection can also be
+	// toggled later with Instance.EnableTelemetry or Instance.EnableTrace.
 	FlagTelemetry
 	// FlagRebalance enables adaptive load rebalancing on multi-device
 	// instances: per-backend throughput is measured every UpdatePartials
@@ -52,8 +54,9 @@ const (
 	// scheduler (batches, dependency levels), workers, the modeled device
 	// clock (kernel launches, transfers) and multi-device coordination
 	// (barriers, rebalances, migrations), exported as Chrome trace-event
-	// JSON through Instance.TraceJSON. Collection can also be toggled later
-	// with Instance.EnableTrace.
+	// JSON through Instance.TraceJSON and aggregated into Instance.Stats.
+	// It sets the same switch as FlagTelemetry; collection can also be
+	// toggled later with Instance.EnableTrace or Instance.EnableTelemetry.
 	FlagTrace
 	// FlagReuse enables incremental re-evaluation: the engine tracks, per
 	// destination buffer, the operation signature and input versions of the

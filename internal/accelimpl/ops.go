@@ -3,14 +3,12 @@ package accelimpl
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"gobeagle/internal/device"
 	"gobeagle/internal/engine"
 	"gobeagle/internal/flops"
 	"gobeagle/internal/kernels"
 	"gobeagle/internal/reuse"
-	"gobeagle/internal/telemetry"
 	"gobeagle/internal/trace"
 )
 
@@ -253,15 +251,7 @@ func (e *Engine[T]) UpdateTransitionMatrices(eigenSlot int, matrices []int, edge
 		Efficiency: e.efficiency,
 		GroupSize:  s,
 	}
-	var start time.Time
-	if e.cfg.Telemetry.Enabled() {
-		start = time.Now()
-	}
-	var tstart int64
-	traceOn := e.cfg.Trace.Enabled()
-	if traceOn {
-		tstart = e.cfg.Trace.Now()
-	}
+	tstart := e.cfg.Trace.Begin()
 	computed := 0
 	for i, m := range matrices {
 		// Content-addressed reuse: the device buffer already holds this
@@ -283,13 +273,8 @@ func (e *Engine[T]) UpdateTransitionMatrices(eigenSlot int, matrices []int, edge
 		e.matSet[m] = true
 		computed++
 	}
-	if !start.IsZero() && computed > 0 {
-		e.cfg.Telemetry.Record(telemetry.KernelMatrices, computed, time.Since(start))
-	}
-	if traceOn {
-		e.cfg.Trace.Record(trace.Span{Kind: trace.KindMatrices, Lane: int32(e.cfg.TraceLane),
-			Start: tstart, Dur: e.cfg.Trace.Now() - tstart, Arg0: int64(computed)})
-	}
+	e.cfg.Trace.End(trace.Span{Kind: trace.KindMatrices, Lane: int32(e.cfg.TraceLane),
+		Start: tstart, Arg0: int64(computed)})
 	return nil
 }
 
@@ -430,18 +415,12 @@ func (e *Engine[T]) UpdatePartials(ops []engine.Operation) error {
 		skipped = len(ops) - len(kept)
 		ops = kept
 	}
-	// Telemetry fast path: one atomic load when disabled, no timestamps taken.
-	var start time.Time
-	if e.cfg.Telemetry.Enabled() {
-		e.cfg.Telemetry.NextBatch()
-		start = time.Now()
-	}
-	var tstart int64
+	// Instrumentation fast path: one atomic load when disabled, no
+	// timestamps taken.
+	tstart := e.cfg.Trace.Begin()
 	var tbatch uint64
-	traceOn := e.cfg.Trace.Enabled()
-	if traceOn {
+	if tstart >= 0 {
 		tbatch = e.cfg.Trace.NextBatch()
-		tstart = e.cfg.Trace.Now()
 	}
 	for _, op := range ops {
 		dest, err := e.ensurePartials(op.Dest)
@@ -478,14 +457,8 @@ func (e *Engine[T]) UpdatePartials(ops []engine.Operation) error {
 			}
 		}
 	}
-	if !start.IsZero() {
-		e.cfg.Telemetry.Record(telemetry.KernelPartials, len(ops), time.Since(start))
-		e.cfg.Telemetry.AddFlops(flops.PartialsOp(e.cfg.Dims) * float64(len(ops)))
-	}
-	if traceOn {
-		e.cfg.Trace.Record(trace.Span{Kind: trace.KindBatch, Lane: int32(e.cfg.TraceLane), Batch: tbatch,
-			Start: tstart, Dur: e.cfg.Trace.Now() - tstart, Arg0: int64(len(ops)), Arg1: int64(skipped)})
-	}
+	e.cfg.Trace.End(trace.Span{Kind: trace.KindBatch, Lane: int32(e.cfg.TraceLane), Batch: tbatch,
+		Start: tstart, Arg0: int64(len(ops)), Arg1: int64(skipped)})
 	return nil
 }
 
@@ -573,10 +546,7 @@ func (e *Engine[T]) launchRescale(dest []T, scaleBuf int) error {
 	if err != nil {
 		return err
 	}
-	var start time.Time
-	if e.cfg.Telemetry.Enabled() {
-		start = time.Now()
-	}
+	tstart := e.cfg.Trace.Begin()
 	d := e.cfg.Dims
 	scale := sb.Data()
 	elem := float64(e.elemSize())
@@ -592,8 +562,9 @@ func (e *Engine[T]) launchRescale(dest []T, scaleBuf int) error {
 		}
 		kernels.RescalePartials(dest, scale, d, p, p+1)
 	})
-	if err == nil && !start.IsZero() {
-		e.cfg.Telemetry.Record(telemetry.KernelRescale, 1, time.Since(start))
+	if err == nil {
+		e.cfg.Trace.End(trace.Span{Kind: trace.KindRescale, Lane: int32(e.cfg.TraceLane),
+			Start: tstart})
 	}
 	return err
 }
@@ -607,10 +578,7 @@ func (e *Engine[T]) launchReadScale(dest []T, scaleBuf int) error {
 	if e.scale[scaleBuf] == nil {
 		return fmt.Errorf("accelimpl: scale buffer %d has not been written", scaleBuf)
 	}
-	var start time.Time
-	if e.cfg.Telemetry.Enabled() {
-		start = time.Now()
-	}
+	tstart := e.cfg.Trace.Begin()
 	d := e.cfg.Dims
 	scale := e.scale[scaleBuf].Data()
 	elem := float64(e.elemSize())
@@ -626,8 +594,9 @@ func (e *Engine[T]) launchReadScale(dest []T, scaleBuf int) error {
 		}
 		kernels.ApplyReadScale(dest, scale, d, p, p+1)
 	})
-	if err == nil && !start.IsZero() {
-		e.cfg.Telemetry.Record(telemetry.KernelRescale, 1, time.Since(start))
+	if err == nil {
+		e.cfg.Trace.End(trace.Span{Kind: trace.KindRescale, Lane: int32(e.cfg.TraceLane),
+			Start: tstart})
 	}
 	return err
 }
@@ -735,27 +704,14 @@ func (e *Engine[T]) siteLikelihoods(rootBuf, cumScaleBuf int) (site, scale []flo
 // CalculateRootLogLikelihoods integrates the root partials into the total
 // log likelihood.
 func (e *Engine[T]) CalculateRootLogLikelihoods(rootBuf, cumScaleBuf int) (float64, error) {
-	var start time.Time
-	if e.cfg.Telemetry.Enabled() {
-		start = time.Now()
-	}
-	var tstart int64
-	traceOn := e.cfg.Trace.Enabled()
-	if traceOn {
-		tstart = e.cfg.Trace.Now()
-	}
+	tstart := e.cfg.Trace.Begin()
 	site, scale, err := e.siteLikelihoods(rootBuf, cumScaleBuf)
 	if err != nil {
 		return 0, err
 	}
 	lnL := kernels.RootLogLikelihood(site, e.patWts, scale, 0, len(site))
-	if !start.IsZero() {
-		e.cfg.Telemetry.Record(telemetry.KernelRoot, 1, time.Since(start))
-	}
-	if traceOn {
-		e.cfg.Trace.Record(trace.Span{Kind: trace.KindRoot, Lane: int32(e.cfg.TraceLane),
-			Start: tstart, Dur: e.cfg.Trace.Now() - tstart, Arg0: int64(len(site))})
-	}
+	e.cfg.Trace.End(trace.Span{Kind: trace.KindRoot, Lane: int32(e.cfg.TraceLane),
+		Start: tstart, Arg0: int64(len(site))})
 	return lnL, nil
 }
 
@@ -807,15 +763,7 @@ func (e *Engine[T]) UpdateTransitionDerivatives(eigenSlot int, d1Matrices, d2Mat
 			return fmt.Errorf("accelimpl: negative edge length %v", edgeLengths[i])
 		}
 	}
-	var start time.Time
-	if e.cfg.Telemetry.Enabled() {
-		start = time.Now()
-	}
-	var tstart int64
-	traceOn := e.cfg.Trace.Enabled()
-	if traceOn {
-		tstart = e.cfg.Trace.Now()
-	}
+	tstart := e.cfg.Trace.Begin()
 	n := e.cfg.Dims.MatrixLen()
 	host1 := make([]T, n)
 	var host2 []T
@@ -839,13 +787,8 @@ func (e *Engine[T]) UpdateTransitionDerivatives(eigenSlot int, d1Matrices, d2Mat
 			e.reuse.InvalidateMatrix(d2Matrices[i])
 		}
 	}
-	if !start.IsZero() {
-		e.cfg.Telemetry.Record(telemetry.KernelDerivatives, len(d1Matrices), time.Since(start))
-	}
-	if traceOn {
-		e.cfg.Trace.Record(trace.Span{Kind: trace.KindDerivatives, Lane: int32(e.cfg.TraceLane),
-			Start: tstart, Dur: e.cfg.Trace.Now() - tstart, Arg0: int64(len(d1Matrices))})
-	}
+	e.cfg.Trace.End(trace.Span{Kind: trace.KindDerivatives, Lane: int32(e.cfg.TraceLane),
+		Start: tstart, Arg0: int64(len(d1Matrices))})
 	return nil
 }
 
@@ -900,10 +843,7 @@ func (e *Engine[T]) CalculateEdgeDerivatives(parentBuf, childBuf, matrix, d1Matr
 	if m2 != nil {
 		siteD2 = make([]float64, d.PatternCount)
 	}
-	var start time.Time
-	if e.cfg.Telemetry.Enabled() {
-		start = time.Now()
-	}
+	tstart := e.cfg.Trace.Begin()
 	wts, fr := e.catWts, e.freqs
 	cost := e.opCost()
 	cost.Flops *= 2 // likelihood plus derivative accumulations
@@ -918,9 +858,7 @@ func (e *Engine[T]) CalculateEdgeDerivatives(parentBuf, childBuf, matrix, d1Matr
 	}
 	lnL := kernels.RootLogLikelihood(siteL, e.patWts, scale, 0, d.PatternCount)
 	d1, d2 := kernels.ReduceEdgeDerivatives(siteL, siteD1, siteD2, e.patWts, 0, d.PatternCount)
-	if !start.IsZero() {
-		e.cfg.Telemetry.Record(telemetry.KernelEdge, 1, time.Since(start))
-	}
+	e.cfg.Trace.End(trace.Span{Kind: trace.KindEdge, Lane: int32(e.cfg.TraceLane), Start: tstart})
 	return lnL, d1, d2, nil
 }
 
@@ -956,10 +894,7 @@ func (e *Engine[T]) CalculateEdgeLogLikelihoods(parentBuf, childBuf, matrix, cum
 			return 0, err
 		}
 	}
-	var start time.Time
-	if e.cfg.Telemetry.Enabled() {
-		start = time.Now()
-	}
+	tstart := e.cfg.Trace.Begin()
 	d := e.cfg.Dims
 	parent := e.partials[parentBuf].Data()
 	child := e.partials[childBuf].Data()
@@ -980,8 +915,6 @@ func (e *Engine[T]) CalculateEdgeLogLikelihoods(parentBuf, childBuf, matrix, cum
 		return 0, err
 	}
 	lnL := kernels.RootLogLikelihood(site, e.patWts, scale, 0, d.PatternCount)
-	if !start.IsZero() {
-		e.cfg.Telemetry.Record(telemetry.KernelEdge, 1, time.Since(start))
-	}
+	e.cfg.Trace.End(trace.Span{Kind: trace.KindEdge, Lane: int32(e.cfg.TraceLane), Start: tstart})
 	return lnL, nil
 }

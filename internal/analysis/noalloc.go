@@ -7,11 +7,11 @@ import (
 )
 
 // NoAlloc rejects allocating constructs in functions annotated
-// //beagle:noalloc: the pruning kernels, the telemetry fast path and the
+// //beagle:noalloc: the pruning kernels, the tracer's record path and the
 // worker-pool dispatch primitive. The paper's throughput figures (Fig. 4,
 // Table III) assume these bodies execute no allocations — a silently
 // introduced make, boxed interface value or fmt call erases exactly the
-// margin the evaluation measures, and a time.Now on the telemetry disabled
+// margin the evaluation measures, and a time.Now on the tracer's disabled
 // path breaks its single-atomic-load budget.
 //
 // Flagged constructs:

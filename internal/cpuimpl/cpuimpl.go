@@ -29,13 +29,10 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"time"
 
 	"gobeagle/internal/engine"
-	"gobeagle/internal/flops"
 	"gobeagle/internal/kernels"
 	"gobeagle/internal/reuse"
-	"gobeagle/internal/telemetry"
 	"gobeagle/internal/trace"
 )
 
@@ -110,7 +107,6 @@ type Engine[T kernels.Real] struct {
 	threads     int
 	minPatterns int
 	pool        *workerPool
-	tel         *telemetry.Collector
 	tr          *trace.Tracer
 	lane        int32
 	closed      bool
@@ -134,7 +130,6 @@ func newEngine[T kernels.Real](cfg engine.Config, mode Mode) *Engine[T] {
 		mode:        mode,
 		threads:     threads,
 		minPatterns: minPat,
-		tel:         cfg.Telemetry,
 		tr:          cfg.Trace,
 		lane:        int32(cfg.TraceLane),
 	}
@@ -298,20 +293,14 @@ func (e *Engine[T]) UpdatePartials(ops []engine.Operation) error {
 		skipped = len(ops) - len(kept)
 		ops = kept
 	}
-	// Telemetry/trace fast paths: one atomic load each when disabled, no
-	// timestamps taken.
-	var start time.Time
-	var batch uint64
-	if e.tel.Enabled() {
-		batch = e.tel.NextBatch()
-		start = time.Now()
-	}
-	var tstart int64
+	// Instrumentation fast path: one atomic load when disabled, no
+	// timestamps taken. tbatch doubles as the batch's tracing switch: it is
+	// nonzero exactly when Begin found the tracer on, so the strategies
+	// below take no further atomic loads.
+	tstart := e.tr.Begin()
 	var tbatch uint64
-	traceOn := e.tr.Enabled()
-	if traceOn {
+	if tstart >= 0 {
 		tbatch = e.tr.NextBatch()
-		tstart = e.tr.Now()
 	}
 	p := e.Cfg.Dims.PatternCount
 	var err error
@@ -323,7 +312,7 @@ func (e *Engine[T]) UpdatePartials(ops []engine.Operation) error {
 			}
 		}
 	case Futures:
-		err = e.runFutures(ops, batch, tbatch)
+		err = e.runFutures(ops, tbatch)
 	case ThreadCreate:
 		for _, op := range ops {
 			if err = e.runThreadCreate(op); err != nil {
@@ -337,19 +326,13 @@ func (e *Engine[T]) UpdatePartials(ops []engine.Operation) error {
 			}
 		}
 	case ThreadPoolHybrid:
-		err = e.runHybrid(ops, batch, tbatch)
+		err = e.runHybrid(ops, tbatch)
 	}
 	if err != nil {
 		return err
 	}
-	if !start.IsZero() {
-		e.tel.Record(telemetry.KernelPartials, len(ops), time.Since(start))
-		e.tel.AddFlops(flops.PartialsOp(e.Cfg.Dims) * float64(len(ops)))
-	}
-	if traceOn {
-		e.tr.Record(trace.Span{Kind: trace.KindBatch, Lane: e.lane, Batch: tbatch,
-			Start: tstart, Dur: e.tr.Now() - tstart, Arg0: int64(len(ops)), Arg1: int64(skipped)})
-	}
+	e.tr.End(trace.Span{Kind: trace.KindBatch, Lane: e.lane, Batch: tbatch,
+		Start: tstart, Arg0: int64(len(ops)), Arg1: int64(skipped)})
 	return nil
 }
 
@@ -360,20 +343,12 @@ func (e *Engine[T]) ReuseStats() reuse.Stats { return e.Reuse.Stats() }
 // runFutures executes operations level by level; operations within a level
 // are independent in the tree topology and run concurrently, each as one
 // asynchronous task computing its full pattern range (§VI-A).
-func (e *Engine[T]) runFutures(ops []engine.Operation, batch, tbatch uint64) error {
+func (e *Engine[T]) runFutures(ops []engine.Operation, tbatch uint64) error {
 	levels := opLevels(ops)
 	errs := make([]error, len(ops))
 	idx := 0
-	traceOn := e.tr.Enabled()
 	for li, level := range levels {
-		var lstart time.Time
-		if e.tel.Enabled() {
-			lstart = time.Now()
-		}
-		var ltstart int64
-		if traceOn {
-			ltstart = e.tr.Now()
-		}
+		ltstart := e.levelStart(tbatch)
 		var wg sync.WaitGroup
 		for _, op := range level {
 			wg.Add(1)
@@ -384,13 +359,7 @@ func (e *Engine[T]) runFutures(ops []engine.Operation, batch, tbatch uint64) err
 			idx++
 		}
 		wg.Wait()
-		if !lstart.IsZero() {
-			e.tel.TraceLevel(batch, li, len(level), len(level), time.Since(lstart))
-		}
-		if traceOn {
-			e.tr.Record(trace.Span{Kind: trace.KindLevel, Lane: e.lane, Batch: tbatch,
-				Start: ltstart, Dur: e.tr.Now() - ltstart, Arg0: int64(li), Arg1: int64(len(level))})
-		}
+		e.recordLevel(tbatch, ltstart, li, len(level), len(level))
 	}
 	for _, err := range errs {
 		if err != nil {
@@ -441,7 +410,7 @@ func (e *Engine[T]) runThreadPool(op engine.Operation, tbatch uint64) error {
 	}
 	n := e.threads
 	errs := make([]error, n)
-	traceOn := e.tr.Enabled()
+	traceOn := tbatch != 0
 	var wg sync.WaitGroup
 	for w := 0; w < n; w++ {
 		lo := w * p / n
@@ -478,10 +447,10 @@ func (e *Engine[T]) runThreadPool(op engine.Operation, tbatch uint64) error {
 // concurrency), narrow levels split patterns until the pool is saturated,
 // and no chunk is cut below HybridMinChunk patterns — so small-pattern
 // problems with independent operations no longer fall back to serial.
-func (e *Engine[T]) runHybrid(ops []engine.Operation, batch, tbatch uint64) error {
+func (e *Engine[T]) runHybrid(ops []engine.Operation, tbatch uint64) error {
 	p := e.Cfg.Dims.PatternCount
 	if e.threads < 2 {
-		if !e.tel.Enabled() && !e.tr.Enabled() {
+		if tbatch == 0 {
 			for _, op := range ops {
 				if err := e.runOp(op, 0, p); err != nil {
 					return err
@@ -490,29 +459,20 @@ func (e *Engine[T]) runHybrid(ops []engine.Operation, batch, tbatch uint64) erro
 			return nil
 		}
 		// Single-threaded fallback: still report the dependency leveling so
-		// the batch tracer stays meaningful on one-core hosts.
-		traceOn := e.tr.Enabled()
+		// the level spans stay meaningful on one-core hosts.
 		for li, level := range opLevels(ops) {
-			lstart := time.Now()
-			var ltstart int64
-			if traceOn {
-				ltstart = e.tr.Now()
-			}
+			ltstart := e.levelStart(tbatch)
 			for _, op := range level {
 				if err := e.runOp(op, 0, p); err != nil {
 					return err
 				}
 			}
-			e.tel.TraceLevel(batch, li, len(level), len(level), time.Since(lstart))
-			if traceOn {
-				e.tr.Record(trace.Span{Kind: trace.KindLevel, Lane: e.lane, Batch: tbatch,
-					Start: ltstart, Dur: e.tr.Now() - ltstart, Arg0: int64(li), Arg1: int64(len(level))})
-			}
+			e.recordLevel(tbatch, ltstart, li, len(level), len(level))
 		}
 		return nil
 	}
 	for li, level := range opLevels(ops) {
-		if err := e.runHybridLevel(level, batch, tbatch, li); err != nil {
+		if err := e.runHybridLevel(level, tbatch, li); err != nil {
 			return err
 		}
 	}
@@ -536,29 +496,16 @@ func HybridChunks(levelWidth, patterns, threads int) int {
 
 // runHybridLevel dispatches one dependency level's (operation, chunk) tasks
 // and waits for the barrier at the end of the level.
-func (e *Engine[T]) runHybridLevel(level []engine.Operation, batch, tbatch uint64, levelIdx int) error {
+func (e *Engine[T]) runHybridLevel(level []engine.Operation, tbatch uint64, levelIdx int) error {
 	p := e.Cfg.Dims.PatternCount
-	var lstart time.Time
-	if e.tel.Enabled() {
-		lstart = time.Now()
-	}
-	traceOn := e.tr.Enabled()
-	var ltstart int64
-	if traceOn {
-		ltstart = e.tr.Now()
-	}
+	ltstart := e.levelStart(tbatch)
+	traceOn := ltstart >= 0
 	if len(level) == 1 && p < e.minPatterns {
 		// A single small operation gains nothing from chunking; stay serial,
 		// exactly as the plain thread-pool strategy does.
 		err := e.runOp(level[0], 0, p)
 		if err == nil {
-			if !lstart.IsZero() {
-				e.tel.TraceLevel(batch, levelIdx, 1, 1, time.Since(lstart))
-			}
-			if traceOn {
-				e.tr.Record(trace.Span{Kind: trace.KindLevel, Lane: e.lane, Batch: tbatch,
-					Start: ltstart, Dur: e.tr.Now() - ltstart, Arg0: int64(levelIdx), Arg1: 1})
-			}
+			e.recordLevel(tbatch, ltstart, levelIdx, 1, 1)
 		}
 		return err
 	}
@@ -595,14 +542,24 @@ func (e *Engine[T]) runHybridLevel(level []engine.Operation, batch, tbatch uint6
 			return err
 		}
 	}
-	if !lstart.IsZero() {
-		e.tel.TraceLevel(batch, levelIdx, len(level), tasks, time.Since(lstart))
-	}
-	if traceOn {
-		e.tr.Record(trace.Span{Kind: trace.KindLevel, Lane: e.lane, Batch: tbatch,
-			Start: ltstart, Dur: e.tr.Now() - ltstart, Arg0: int64(levelIdx), Arg1: int64(len(level))})
-	}
+	e.recordLevel(tbatch, ltstart, levelIdx, len(level), tasks)
 	return nil
+}
+
+// levelStart opens the span of one dependency level: the start timestamp,
+// or -1 when the batch is untraced (tbatch 0).
+func (e *Engine[T]) levelStart(tbatch uint64) int64 {
+	if tbatch == 0 {
+		return -1
+	}
+	return e.tr.Now()
+}
+
+// recordLevel ends the span of one dependency level of a leveled strategy,
+// opened by levelStart: ops operations dispatched as tasks concurrent tasks.
+func (e *Engine[T]) recordLevel(tbatch uint64, start int64, level, ops, tasks int) {
+	e.tr.End(trace.Span{Kind: trace.KindLevel, Lane: e.lane, Batch: tbatch,
+		Start: start, Arg0: trace.LevelArg(level, tasks), Arg1: int64(ops)})
 }
 
 // opLevels groups operations into dependency levels so that all operations
@@ -690,27 +647,13 @@ func (e *Engine[T]) SiteLogLikelihoods(rootBuf, cumScaleBuf int) ([]float64, err
 // the per-pattern site likelihoods are computed on the worker pool, as
 // §VI-C describes.
 func (e *Engine[T]) CalculateRootLogLikelihoods(rootBuf, cumScaleBuf int) (float64, error) {
-	var start time.Time
-	if e.tel.Enabled() {
-		start = time.Now()
-	}
-	var tstart int64
-	traceOn := e.tr.Enabled()
-	if traceOn {
-		tstart = e.tr.Now()
-	}
+	tstart := e.tr.Begin()
 	site, scale, err := e.siteLikelihoods(rootBuf, cumScaleBuf)
 	if err != nil {
 		return 0, err
 	}
 	lnL := kernels.RootLogLikelihood(site, e.PatWts, scale, 0, len(site))
-	if !start.IsZero() {
-		e.tel.Record(telemetry.KernelRoot, 1, time.Since(start))
-	}
-	if traceOn {
-		e.tr.Record(trace.Span{Kind: trace.KindRoot, Lane: e.lane,
-			Start: tstart, Dur: e.tr.Now() - tstart, Arg0: int64(len(site))})
-	}
+	e.tr.End(trace.Span{Kind: trace.KindRoot, Lane: e.lane, Start: tstart, Arg0: int64(len(site))})
 	return lnL, nil
 }
 
@@ -777,17 +720,12 @@ func (e *Engine[T]) CalculateEdgeLogLikelihoods(parentBuf, childBuf, matrix, cum
 	if err != nil {
 		return 0, err
 	}
-	var start time.Time
-	if e.tel.Enabled() {
-		start = time.Now()
-	}
+	tstart := e.tr.Begin()
 	d := e.Cfg.Dims
 	site := make([]float64, d.PatternCount)
 	kernels.EdgeSiteLikelihoods(site, parent, child, e.Matrices[matrix], e.CatWts, e.Freqs, d, 0, d.PatternCount)
 	lnL := kernels.RootLogLikelihood(site, e.PatWts, scale, 0, d.PatternCount)
-	if !start.IsZero() {
-		e.tel.Record(telemetry.KernelEdge, 1, time.Since(start))
-	}
+	e.tr.End(trace.Span{Kind: trace.KindEdge, Lane: e.lane, Start: tstart})
 	return lnL, nil
 }
 
@@ -834,10 +772,7 @@ func (e *Engine[T]) CalculateEdgeDerivatives(parentBuf, childBuf, matrix, d1Matr
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	var start time.Time
-	if e.tel.Enabled() {
-		start = time.Now()
-	}
+	tstart := e.tr.Begin()
 	d := e.Cfg.Dims
 	siteL := make([]float64, d.PatternCount)
 	siteD1 := make([]float64, d.PatternCount)
@@ -849,9 +784,7 @@ func (e *Engine[T]) CalculateEdgeDerivatives(parentBuf, childBuf, matrix, d1Matr
 		e.CatWts, e.Freqs, d, 0, d.PatternCount)
 	lnL := kernels.RootLogLikelihood(siteL, e.PatWts, scale, 0, d.PatternCount)
 	d1, d2 := kernels.ReduceEdgeDerivatives(siteL, siteD1, siteD2, e.PatWts, 0, d.PatternCount)
-	if !start.IsZero() {
-		e.tel.Record(telemetry.KernelEdge, 1, time.Since(start))
-	}
+	e.tr.End(trace.Span{Kind: trace.KindEdge, Lane: e.lane, Start: tstart})
 	return lnL, d1, d2, nil
 }
 

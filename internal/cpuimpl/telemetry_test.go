@@ -6,13 +6,18 @@ import (
 	"time"
 
 	"gobeagle/internal/engine"
+	"gobeagle/internal/flops"
 	"gobeagle/internal/seqgen"
 	"gobeagle/internal/substmodel"
-	"gobeagle/internal/telemetry"
+	"gobeagle/internal/trace"
 	"gobeagle/internal/tree"
 )
 
-// telemetryProblem builds a shared small problem for the telemetry tests.
+// The telemetry tests pin the per-kernel aggregates the tracer folds from
+// the engine's spans — the counters Instance.Stats reports.
+
+// telemetryProblem builds a shared small problem for the telemetry and
+// trace tests.
 func telemetryProblem(t *testing.T) (*tree.Tree, *substmodel.Model, *substmodel.SiteRates, *seqgen.PatternSet) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(19))
@@ -38,10 +43,10 @@ func telemetryProblem(t *testing.T) (*tree.Tree, *substmodel.Model, *substmodel.
 func TestTelemetryRecordsKernelsInEveryMode(t *testing.T) {
 	tr, m, rates, ps := telemetryProblem(t)
 	for _, mode := range Modes() {
-		tel := telemetry.New()
-		tel.SetEnabled(true)
+		tc := trace.New()
+		tc.SetEnabled(true)
 		cfg := testConfig(tr, 4, ps.PatternCount(), 4, false)
-		cfg.Telemetry = tel
+		cfg.Trace = tc
 		e, err := New(cfg, mode)
 		if err != nil {
 			t.Fatal(err)
@@ -50,36 +55,35 @@ func TestTelemetryRecordsKernelsInEveryMode(t *testing.T) {
 		if err := e.Close(); err != nil {
 			t.Fatal(err)
 		}
-		snap := tel.Snapshot()
-		p := snap.Kernel(telemetry.KernelPartials)
+		p := tc.Stat(trace.KindBatch)
 		if p.Calls == 0 || p.Ops != uint64(tr.TipCount-1) {
 			t.Errorf("%v: partials ops/calls = %d/%d, want %d ops", mode, p.Ops, p.Calls, tr.TipCount-1)
 		}
-		if snap.Kernel(telemetry.KernelRoot).Calls == 0 {
+		if tc.Stat(trace.KindRoot).Calls == 0 {
 			t.Errorf("%v: root kernel not recorded", mode)
 		}
-		if mats := snap.Kernel(telemetry.KernelMatrices); mats.Ops == 0 {
+		if mats := tc.Stat(trace.KindMatrices); mats.Ops == 0 {
 			t.Errorf("%v: matrices kernel not recorded", mode)
 		}
-		if snap.TotalFlops <= 0 {
-			t.Errorf("%v: no effective flops accumulated", mode)
+		if flops.PartialsOp(cfg.Dims)*float64(p.Ops) <= 0 {
+			t.Errorf("%v: no effective flops accounted", mode)
 		}
-		if snap.Batches == 0 {
+		if tc.NextBatch() < 2 {
 			t.Errorf("%v: batch counter untouched", mode)
 		}
 	}
 }
 
 // TestTelemetryLevelTraces checks the leveled strategies (futures and
-// thread-pool-hybrid) report their dependency leveling through the batch
-// tracer, with the per-level op counts summing to the batch's operations.
+// thread-pool-hybrid) report their dependency leveling through level spans,
+// with the per-level op counts summing to the batch's operations.
 func TestTelemetryLevelTraces(t *testing.T) {
 	tr, m, rates, ps := telemetryProblem(t)
 	for _, mode := range []Mode{Futures, ThreadPoolHybrid} {
-		tel := telemetry.New()
-		tel.SetEnabled(true)
+		tc := trace.New()
+		tc.SetEnabled(true)
 		cfg := testConfig(tr, 4, ps.PatternCount(), 4, false)
-		cfg.Telemetry = tel
+		cfg.Trace = tc
 		e, err := New(cfg, mode)
 		if err != nil {
 			t.Fatal(err)
@@ -88,7 +92,12 @@ func TestTelemetryLevelTraces(t *testing.T) {
 		if err := e.Close(); err != nil {
 			t.Fatal(err)
 		}
-		levels := tel.Snapshot().Levels
+		var levels []trace.Span
+		for _, s := range tc.Snapshot() {
+			if s.Kind == trace.KindLevel {
+				levels = append(levels, s)
+			}
+		}
 		if len(levels) == 0 {
 			t.Errorf("%v: no dependency levels traced", mode)
 			continue
@@ -96,17 +105,18 @@ func TestTelemetryLevelTraces(t *testing.T) {
 		byBatch := map[uint64]int{}
 		lastLevel := map[uint64]int{}
 		for _, lt := range levels {
+			level, tasks := lt.Level()
 			if lt.Batch == 0 {
 				t.Errorf("%v: level trace with zero batch id", mode)
 			}
-			if lt.Tasks < 1 || lt.Ops < 1 {
+			if tasks < 1 || lt.Arg1 < 1 {
 				t.Errorf("%v: degenerate level trace %+v", mode, lt)
 			}
-			if prev, ok := lastLevel[lt.Batch]; ok && lt.Level != prev+1 {
-				t.Errorf("%v: batch %d levels not consecutive: %d after %d", mode, lt.Batch, lt.Level, prev)
+			if prev, ok := lastLevel[lt.Batch]; ok && level != prev+1 {
+				t.Errorf("%v: batch %d levels not consecutive: %d after %d", mode, lt.Batch, level, prev)
 			}
-			lastLevel[lt.Batch] = lt.Level
-			byBatch[lt.Batch] += lt.Ops
+			lastLevel[lt.Batch] = level
+			byBatch[lt.Batch] += int(lt.Arg1)
 		}
 		for batch, ops := range byBatch {
 			if ops != tr.TipCount-1 {
@@ -118,10 +128,10 @@ func TestTelemetryLevelTraces(t *testing.T) {
 
 func TestTelemetryDisabledAndNilRecordNothing(t *testing.T) {
 	tr, m, rates, ps := telemetryProblem(t)
-	disabled := telemetry.New() // never enabled
-	for _, tel := range []*telemetry.Collector{disabled, nil} {
+	disabled := trace.New() // never enabled
+	for _, tc := range []*trace.Tracer{disabled, nil} {
 		cfg := testConfig(tr, 4, ps.PatternCount(), 4, false)
-		cfg.Telemetry = tel
+		cfg.Trace = tc
 		e, err := New(cfg, ThreadPoolHybrid)
 		if err != nil {
 			t.Fatal(err)
@@ -131,46 +141,44 @@ func TestTelemetryDisabledAndNilRecordNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap := disabled.Snapshot()
-	if len(snap.Kernels) != 0 || snap.Batches != 0 || len(snap.Levels) != 0 {
-		t.Fatalf("disabled collector recorded: %+v", snap)
+	for _, k := range []trace.Kind{trace.KindBatch, trace.KindRoot, trace.KindEdge,
+		trace.KindMatrices, trace.KindDerivatives, trace.KindRescale} {
+		if st := disabled.Stat(k); st != (trace.Stat{}) {
+			t.Fatalf("disabled tracer aggregated %v: %+v", k, st)
+		}
+	}
+	if disabled.NextBatch() != 1 || len(disabled.Snapshot()) != 0 {
+		t.Fatal("disabled tracer recorded batches or levels")
 	}
 }
 
 // TestTelemetryDisabledOverhead is the regression guard for the <2%
-// disabled-overhead budget: a disabled collector's UpdatePartials must stay
-// close to an engine with no collector at all. The threshold is deliberately
-// loose (50%) so scheduler noise on shared CI runners cannot flake it; the
-// real budget is pinned by BenchmarkDisabledGuard in internal/telemetry and
-// the untouched internal/kernels micro-benchmarks.
+// disabled-overhead budget on the instrumented methods other than
+// UpdatePartials (which TestTraceDisabledOverhead covers): a root
+// integration with a disabled tracer must stay close to one with no tracer
+// at all. The threshold is deliberately loose (50%) so scheduler noise on
+// shared CI runners cannot flake it; the per-call budget is pinned by
+// BenchmarkDisabledGuard in internal/trace.
 func TestTelemetryDisabledOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing comparison skipped in -short mode")
 	}
 	tr, m, rates, ps := telemetryProblem(t)
 
-	eval := func(tel *telemetry.Collector) time.Duration {
+	eval := func(tc *trace.Tracer) time.Duration {
 		cfg := testConfig(tr, 4, ps.PatternCount(), 4, false)
-		cfg.Telemetry = tel
+		cfg.Trace = tc
 		e, err := New(cfg, Serial)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer e.Close()
-		sched := tr.FullSchedule()
-		ops := make([]engine.Operation, len(sched.Ops))
-		for i, op := range sched.Ops {
-			ops[i] = engine.Operation{
-				Dest: op.Dest, DestScaleWrite: engine.None, DestScaleRead: engine.None,
-				Child1: op.Child1, Child1Mat: op.Child1Mat,
-				Child2: op.Child2, Child2Mat: op.Child2Mat,
-			}
-		}
+		root := tr.FullSchedule().Root
 		driveEngine(t, e, tr, m, rates, ps, true, false)
 		best := time.Duration(1<<63 - 1)
 		for rep := 0; rep < 30; rep++ {
 			start := time.Now()
-			if err := e.UpdatePartials(ops); err != nil {
+			if _, err := e.CalculateRootLogLikelihoods(root, engine.None); err != nil {
 				t.Fatal(err)
 			}
 			if d := time.Since(start); d < best {
@@ -181,7 +189,7 @@ func TestTelemetryDisabledOverhead(t *testing.T) {
 	}
 
 	baseline := eval(nil)
-	disabled := eval(telemetry.New())
+	disabled := eval(trace.New())
 	if baseline <= 0 {
 		t.Skip("timer resolution too coarse for comparison")
 	}

@@ -14,7 +14,6 @@ import (
 	"fmt"
 
 	"gobeagle/internal/kernels"
-	"gobeagle/internal/telemetry"
 	"gobeagle/internal/trace"
 )
 
@@ -67,16 +66,14 @@ type Config struct {
 	// operations and UpdateTransitionMatrices entries whose inputs are
 	// unchanged since the last identical request (see internal/reuse).
 	Reuse bool
-	// Telemetry, when non-nil, receives per-kernel counters, effective-flop
-	// accounting and scheduler level traces from the implementation. A nil
-	// collector (or a disabled one) must cost nothing on the hot paths.
-	Telemetry *telemetry.Collector
 	// Trace, when non-nil, receives timeline spans (scheduler batches and
 	// levels, worker tasks, device kernel launches and transfers, multi-
-	// device barriers and migrations). Unlike Telemetry, a parent engine
-	// shares its tracer with its sub-engines — spans carry lanes, so
-	// concurrent backends do not double count, they interleave. A nil or
-	// disabled tracer must cost nothing on the hot paths.
+	// device barriers and migrations); the tracer also aggregates the
+	// engine-call spans into the per-kernel counters Instance.Stats reports.
+	// A parent engine shares its tracer with its sub-engines — spans carry
+	// lanes, so concurrent backends interleave, and only the stats lane is
+	// counted (see trace.Tracer.SetStatsLane). A nil or disabled tracer must
+	// cost nothing on the hot paths.
 	Trace *trace.Tracer
 	// TraceLane attributes this engine's spans to one lane (thread track)
 	// of the trace: multi-device parents assign each backend its index.

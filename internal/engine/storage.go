@@ -2,11 +2,9 @@ package engine
 
 import (
 	"fmt"
-	"time"
 
 	"gobeagle/internal/kernels"
 	"gobeagle/internal/reuse"
-	"gobeagle/internal/telemetry"
 	"gobeagle/internal/trace"
 )
 
@@ -286,15 +284,7 @@ func (s *Storage[T]) UpdateTransitionMatrices(eigenSlot int, matrices []int, edg
 			return fmt.Errorf("engine: negative edge length %v", edgeLengths[i])
 		}
 	}
-	var start time.Time
-	if s.Cfg.Telemetry.Enabled() {
-		start = time.Now()
-	}
-	var tstart int64
-	traceOn := s.Cfg.Trace.Enabled()
-	if traceOn {
-		tstart = s.Cfg.Trace.Now()
-	}
+	tstart := s.Cfg.Trace.Begin()
 	computed := 0
 	for i, m := range matrices {
 		// Content-addressed reuse: the matrix already holds the result of
@@ -308,13 +298,8 @@ func (s *Storage[T]) UpdateTransitionMatrices(eigenSlot int, matrices []int, edg
 		kernels.UpdateTransitionMatrix(s.Matrices[m], e, edgeLengths[i], s.CatRates)
 		computed++
 	}
-	if !start.IsZero() && computed > 0 {
-		s.Cfg.Telemetry.Record(telemetry.KernelMatrices, computed, time.Since(start))
-	}
-	if traceOn {
-		s.Cfg.Trace.Record(trace.Span{Kind: trace.KindMatrices, Lane: int32(s.Cfg.TraceLane),
-			Start: tstart, Dur: s.Cfg.Trace.Now() - tstart, Arg0: int64(computed)})
-	}
+	s.Cfg.Trace.End(trace.Span{Kind: trace.KindMatrices, Lane: int32(s.Cfg.TraceLane),
+		Start: tstart, Arg0: int64(computed)})
 	return nil
 }
 
@@ -347,15 +332,7 @@ func (s *Storage[T]) UpdateTransitionDerivatives(eigenSlot int, d1Matrices, d2Ma
 			return fmt.Errorf("engine: negative edge length %v", edgeLengths[i])
 		}
 	}
-	var start time.Time
-	if s.Cfg.Telemetry.Enabled() {
-		start = time.Now()
-	}
-	var tstart int64
-	traceOn := s.Cfg.Trace.Enabled()
-	if traceOn {
-		tstart = s.Cfg.Trace.Now()
-	}
+	tstart := s.Cfg.Trace.Begin()
 	for i, m := range d1Matrices {
 		if s.Matrices[m] == nil {
 			s.Matrices[m] = make([]T, s.Cfg.Dims.MatrixLen())
@@ -375,13 +352,8 @@ func (s *Storage[T]) UpdateTransitionDerivatives(eigenSlot int, d1Matrices, d2Ma
 			s.Reuse.InvalidateMatrix(d2Matrices[i])
 		}
 	}
-	if !start.IsZero() {
-		s.Cfg.Telemetry.Record(telemetry.KernelDerivatives, len(d1Matrices), time.Since(start))
-	}
-	if traceOn {
-		s.Cfg.Trace.Record(trace.Span{Kind: trace.KindDerivatives, Lane: int32(s.Cfg.TraceLane),
-			Start: tstart, Dur: s.Cfg.Trace.Now() - tstart, Arg0: int64(len(d1Matrices))})
-	}
+	s.Cfg.Trace.End(trace.Span{Kind: trace.KindDerivatives, Lane: int32(s.Cfg.TraceLane),
+		Start: tstart, Arg0: int64(len(d1Matrices))})
 	return nil
 }
 

@@ -34,7 +34,9 @@ func TestGFLOPS(t *testing.T) {
 	if got := GFLOPS(1e9, 500*time.Millisecond); got != 2 {
 		t.Fatalf("GFLOPS = %v, want 2", got)
 	}
-	if got := GFLOPS(1e9, 0); got != 0 {
-		t.Fatalf("GFLOPS with zero time = %v, want 0", got)
+	for _, d := range []time.Duration{0, -time.Second} {
+		if got := GFLOPS(1e9, d); got != 0 {
+			t.Fatalf("GFLOPS with %v elapsed = %v, want 0", d, got)
+		}
 	}
 }

@@ -24,9 +24,7 @@ import (
 	"time"
 
 	"gobeagle/internal/engine"
-	"gobeagle/internal/flops"
 	"gobeagle/internal/reuse"
-	"gobeagle/internal/telemetry"
 	"gobeagle/internal/trace"
 )
 
@@ -134,6 +132,11 @@ func NewBalanced(cfg engine.Config, builders []Builder, shares []float64, opts O
 	}
 
 	e := &Engine{cfg: cfg}
+	// The parent's lane -1 spans (barriers, root, edge, matrices) span all
+	// backends and are the ones counted; the backends record into the same
+	// tracer on their own lanes, so the exported timeline shows them side by
+	// side without their work being counted twice.
+	cfg.Trace.SetStatsLane(-1)
 	e.patWts = make([]float64, p)
 	for i := range e.patWts {
 		e.patWts[i] = 1
@@ -142,13 +145,6 @@ func NewBalanced(cfg engine.Config, builders []Builder, shares []float64, opts O
 	for i, b := range builders {
 		sub := cfg
 		sub.Dims.PatternCount = e.hi[i] - e.lo[i]
-		// The parent engine records batch wall times spanning all backends;
-		// letting sub-engines also record into the same collector would double
-		// count concurrent work, so sub-configurations get no telemetry. The
-		// span tracer is different: spans carry lanes, so sub-engines share
-		// the parent's tracer and each backend gets its index as its lane —
-		// the exported timeline shows the backends side by side.
-		sub.Telemetry = nil
 		sub.TraceLane = i
 		eng, err := b(sub)
 		if err != nil {
@@ -391,15 +387,13 @@ func (e *Engine) GetTransitionMatrix(matrix int) ([]float64, error) {
 func (e *Engine) UpdateTransitionMatrices(eigenSlot int, matrices []int, edgeLengths []float64) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	var start time.Time
-	if e.cfg.Telemetry.Enabled() {
-		start = time.Now()
-	}
+	tstart := e.cfg.Trace.Begin()
 	err := e.parallel(func(_ int, sub engine.Engine) error {
 		return sub.UpdateTransitionMatrices(eigenSlot, matrices, edgeLengths)
 	})
-	if err == nil && !start.IsZero() {
-		e.cfg.Telemetry.Record(telemetry.KernelMatrices, len(matrices), time.Since(start))
+	if err == nil {
+		e.cfg.Trace.End(trace.Span{Kind: trace.KindMatrices, Lane: -1,
+			Start: tstart, Arg0: int64(len(matrices))})
 	}
 	return err
 }
@@ -415,19 +409,12 @@ func (e *Engine) UpdateTransitionMatrices(eigenSlot int, matrices []int, edgeLen
 func (e *Engine) UpdatePartials(ops []engine.Operation) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	tel := e.cfg.Telemetry
-	var start time.Time
-	if tel.Enabled() {
-		tel.NextBatch()
-		start = time.Now()
-	}
 	tr := e.cfg.Trace
-	traceOn := tr.Enabled()
-	var tstart int64
+	tstart := tr.Begin()
+	traceOn := tstart >= 0
 	var tbatch uint64
 	if traceOn {
 		tbatch = tr.NextBatch()
-		tstart = tr.Now()
 	}
 	var err error
 	if e.reb != nil {
@@ -467,13 +454,9 @@ func (e *Engine) UpdatePartials(ops []engine.Operation) error {
 			return err
 		})
 	}
-	if err == nil && !start.IsZero() {
-		tel.Record(telemetry.KernelPartials, len(ops), time.Since(start))
-		tel.AddFlops(flops.PartialsOp(e.cfg.Dims) * float64(len(ops)))
-	}
-	if err == nil && traceOn {
-		tr.Record(trace.Span{Kind: trace.KindBarrier, Lane: -1, Batch: tbatch,
-			Start: tstart, Dur: tr.Now() - tstart, Arg0: int64(len(e.subs)), Arg1: int64(len(ops))})
+	if err == nil {
+		tr.End(trace.Span{Kind: trace.KindBarrier, Lane: -1, Batch: tbatch,
+			Start: tstart, Arg0: int64(len(e.subs)), Arg1: int64(len(ops))})
 	}
 	return err
 }
@@ -507,10 +490,7 @@ func (e *Engine) AccumulateScaleFactors(scaleBufs []int, cumBuf int) error {
 func (e *Engine) CalculateRootLogLikelihoods(rootBuf, cumScaleBuf int) (float64, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	var start time.Time
-	if e.cfg.Telemetry.Enabled() {
-		start = time.Now()
-	}
+	tstart := e.cfg.Trace.Begin()
 	sites := make([]float64, e.cfg.Dims.PatternCount)
 	err := e.parallel(func(i int, sub engine.Engine) error {
 		site, err := sub.SiteLogLikelihoods(rootBuf, cumScaleBuf)
@@ -527,9 +507,8 @@ func (e *Engine) CalculateRootLogLikelihoods(rootBuf, cumScaleBuf int) (float64,
 	for p, site := range sites {
 		total += e.patWts[p] * site
 	}
-	if !start.IsZero() {
-		e.cfg.Telemetry.Record(telemetry.KernelRoot, 1, time.Since(start))
-	}
+	e.cfg.Trace.End(trace.Span{Kind: trace.KindRoot, Lane: -1,
+		Start: tstart, Arg0: int64(len(sites))})
 	return total, nil
 }
 
@@ -537,10 +516,7 @@ func (e *Engine) CalculateRootLogLikelihoods(rootBuf, cumScaleBuf int) (float64,
 func (e *Engine) CalculateEdgeLogLikelihoods(parentBuf, childBuf, matrix, cumScaleBuf int) (float64, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	var start time.Time
-	if e.cfg.Telemetry.Enabled() {
-		start = time.Now()
-	}
+	tstart := e.cfg.Trace.Begin()
 	parts := make([]float64, len(e.subs))
 	err := e.parallel(func(i int, sub engine.Engine) error {
 		lnL, err := sub.CalculateEdgeLogLikelihoods(parentBuf, childBuf, matrix, cumScaleBuf)
@@ -554,9 +530,7 @@ func (e *Engine) CalculateEdgeLogLikelihoods(parentBuf, childBuf, matrix, cumSca
 	for _, p := range parts {
 		total += p
 	}
-	if !start.IsZero() {
-		e.cfg.Telemetry.Record(telemetry.KernelEdge, 1, time.Since(start))
-	}
+	e.cfg.Trace.End(trace.Span{Kind: trace.KindEdge, Lane: -1, Start: tstart})
 	return total, nil
 }
 

@@ -134,7 +134,7 @@ type RebalanceEvent struct {
 	CostSeconds float64
 }
 
-// RebalanceStats is a snapshot of the rebalancer's state for telemetry.
+// RebalanceStats is a snapshot of the rebalancer's state for Instance.Stats.
 type RebalanceStats struct {
 	// Batches is the number of UpdatePartials batches observed.
 	Batches int

@@ -1,162 +1,233 @@
+// Package telemetry holds the guards of instance telemetry: the counters,
+// histograms and dependency levels behind Instance.Stats. There is no
+// separate collector; every figure is folded from the spans the instance's
+// trace.Tracer records, so these tests drive that tracer (and the public
+// KernelStats accessors and flops helpers Stats is built from) directly.
 package telemetry
 
 import (
-	"math"
-	"sync"
 	"testing"
 	"time"
 
+	"gobeagle"
 	"gobeagle/internal/flops"
 	"gobeagle/internal/kernels"
+	"gobeagle/internal/trace"
 )
 
+// statsKinds are the span kinds Stats aggregates into kernel families.
+var statsKinds = []trace.Kind{
+	trace.KindBatch, trace.KindBarrier, trace.KindRoot, trace.KindEdge,
+	trace.KindMatrices, trace.KindDerivatives, trace.KindRescale,
+}
+
 func TestNilCollectorIsSafeAndDisabled(t *testing.T) {
-	var c *Collector
+	var c *trace.Tracer
 	if c.Enabled() {
-		t.Fatal("nil collector reports enabled")
+		t.Fatal("nil tracer reports enabled")
 	}
 	// None of these may panic.
 	c.SetEnabled(true)
-	c.SetLabels("impl", "strategy")
-	c.Record(KernelPartials, 3, time.Millisecond)
-	c.AddFlops(1e6)
-	c.TraceLevel(1, 0, 4, 8, time.Millisecond)
+	c.SetStatsLane(-1)
+	c.SetRequest(7)
+	c.Record(trace.Span{Kind: trace.KindBatch, Dur: int64(time.Millisecond), Arg0: 3})
+	c.Record(trace.Span{Kind: trace.KindLevel, Arg0: trace.LevelArg(0, 4), Arg1: 8})
+	c.End(trace.Span{Kind: trace.KindRoot, Start: c.Begin()})
 	c.Reset()
+	if c.Enabled() {
+		t.Fatal("nil tracer enabled by SetEnabled")
+	}
 	if got := c.NextBatch(); got != 0 {
 		t.Fatalf("nil NextBatch = %d, want 0", got)
 	}
-	snap := c.Snapshot()
-	if snap.Enabled || snap.Batches != 0 || len(snap.Kernels) != 0 || len(snap.Levels) != 0 {
-		t.Fatalf("nil Snapshot not zero: %+v", snap)
+	if got := c.StatsLane(); got != 0 {
+		t.Fatalf("nil StatsLane = %d, want 0", got)
+	}
+	for _, k := range statsKinds {
+		if st := c.Stat(k); st != (trace.Stat{}) {
+			t.Fatalf("nil Stat(%v) not zero: %+v", k, st)
+		}
+	}
+	if spans := c.Snapshot(); len(spans) != 0 {
+		t.Fatalf("nil Snapshot not empty: %+v", spans)
 	}
 }
 
 func TestDisabledCollectorRecordsNothing(t *testing.T) {
-	c := New()
+	c := trace.New()
 	if c.Enabled() {
-		t.Fatal("new collector should start disabled")
+		t.Fatal("new tracer should start disabled")
 	}
-	c.Record(KernelPartials, 5, time.Millisecond)
-	c.AddFlops(1e9)
-	c.TraceLevel(1, 0, 5, 10, time.Millisecond)
-	snap := c.Snapshot()
-	if len(snap.Kernels) != 0 {
-		t.Fatalf("disabled Record leaked into kernels: %+v", snap.Kernels)
+	if start := c.Begin(); start != -1 {
+		t.Fatalf("disabled Begin = %d, want -1", start)
 	}
-	if snap.TotalFlops != 0 {
-		t.Fatalf("disabled AddFlops leaked: %v", snap.TotalFlops)
+	c.Record(trace.Span{Kind: trace.KindBatch, Dur: int64(time.Millisecond), Arg0: 5})
+	c.Record(trace.Span{Kind: trace.KindLevel, Batch: 1, Arg0: trace.LevelArg(0, 10), Arg1: 5})
+	c.End(trace.Span{Kind: trace.KindRoot, Start: c.Begin()})
+	for _, k := range statsKinds {
+		if st := c.Stat(k); st != (trace.Stat{}) {
+			t.Fatalf("disabled Record leaked into %v: %+v", k, st)
+		}
 	}
-	if len(snap.Levels) != 0 {
-		t.Fatalf("disabled TraceLevel leaked: %+v", snap.Levels)
+	if spans := c.Snapshot(); len(spans) != 0 {
+		t.Fatalf("disabled Record leaked spans (dependency levels included): %+v", spans)
 	}
 }
 
-func TestRecordAndSnapshot(t *testing.T) {
-	c := New()
-	c.SetEnabled(true)
-	c.SetLabels("CPU-serial", "serial")
+// TestDisabledPathAllocatesNothing pins the zero-allocation guarantee of the
+// disabled fast path: the guard plus the no-op record must not allocate.
+func TestDisabledPathAllocatesNothing(t *testing.T) {
+	c := trace.New()
+	var nilC *trace.Tracer
+	for name, col := range map[string]*trace.Tracer{"disabled": c, "nil": nilC} {
+		allocs := testing.AllocsPerRun(1000, func() {
+			if col.Enabled() {
+				col.Record(trace.Span{Kind: trace.KindBatch, Dur: 1000, Arg0: 1})
+			}
+			col.Record(trace.Span{Kind: trace.KindRoot, Dur: 1000})
+			col.End(trace.Span{Kind: trace.KindEdge, Start: col.Begin()})
+			col.NextBatch()
+		})
+		if allocs != 0 {
+			t.Errorf("%s path allocates %.1f per run, want 0", name, allocs)
+		}
+	}
+}
 
-	c.Record(KernelPartials, 3, 2*time.Millisecond)
-	c.Record(KernelPartials, 2, 1*time.Millisecond)
-	c.Record(KernelRoot, 1, 500*time.Microsecond)
+// TestEnabledHotPathAllocatesNothing extends the zero-allocation guarantee
+// to the enabled path: a counted span is written into a preallocated ring
+// and folded into a fixed-size aggregate, so turning telemetry on must add
+// time, never garbage.
+func TestEnabledHotPathAllocatesNothing(t *testing.T) {
+	c := trace.New()
+	c.SetEnabled(true)
+	allocs := testing.AllocsPerRun(1000, func() {
+		if c.Enabled() {
+			c.Record(trace.Span{Kind: trace.KindBatch, Dur: 1000, Arg0: 4})
+			c.Record(trace.Span{Kind: trace.KindLevel, Arg0: trace.LevelArg(0, 4), Arg1: 4})
+		}
+		c.NextBatch()
+	})
+	if allocs != 0 {
+		t.Errorf("enabled path allocates %.1f per run, want 0", allocs)
+	}
+	if st := c.Stat(trace.KindBatch); st.Calls == 0 || st.Ops != 4*st.Calls {
+		t.Fatalf("enabled path did not aggregate: %+v", st)
+	}
+}
+
+// Zero-division guards: mean and GFLOPS accessors must yield zero, never
+// panic or return NaN/Inf, for empty or zero-duration stats.
+
+func TestKernelStatsMeansGuardZero(t *testing.T) {
+	var empty gobeagle.KernelStats
+	if got := empty.MeanPerOp(); got != 0 {
+		t.Errorf("MeanPerOp on zero stats = %v, want 0", got)
+	}
+	if got := empty.MeanPerCall(); got != 0 {
+		t.Errorf("MeanPerCall on zero stats = %v, want 0", got)
+	}
+	// Calls without ops (and vice versa): only the populated mean divides.
+	callsOnly := gobeagle.KernelStats{Calls: 3, Total: 300}
+	if got := callsOnly.MeanPerOp(); got != 0 {
+		t.Errorf("MeanPerOp with zero ops = %v, want 0", got)
+	}
+	if got := callsOnly.MeanPerCall(); got != 100 {
+		t.Errorf("MeanPerCall = %v, want 100", got)
+	}
+	opsOnly := gobeagle.KernelStats{Ops: 4, Total: 400}
+	if got := opsOnly.MeanPerCall(); got != 0 {
+		t.Errorf("MeanPerCall with zero calls = %v, want 0", got)
+	}
+	if got := opsOnly.MeanPerOp(); got != 100 {
+		t.Errorf("MeanPerOp = %v, want 100", got)
+	}
+}
+
+func TestGFLOPSGuardsZeroAndNegativeDuration(t *testing.T) {
+	for _, d := range []time.Duration{0, -time.Second} {
+		if got := flops.GFLOPS(1e12, d); got != 0 {
+			t.Errorf("GFLOPS(1e12, %v) = %v, want 0", d, got)
+		}
+	}
+	if got := flops.GFLOPS(2e9, time.Second); got != 2 {
+		t.Errorf("GFLOPS(2e9, 1s) = %v, want 2", got)
+	}
+}
+
+// TestSnapshotZeroDurationPartials covers the EffectiveGFLOPS path when
+// partials operations were counted but the batch span recorded zero wall
+// time (possible on coarse clocks): Stats derives TotalFlops from the
+// partials ops and EffectiveGFLOPS from the partials total, and must report
+// 0, not +Inf.
+func TestSnapshotZeroDurationPartials(t *testing.T) {
+	c := trace.New()
+	c.SetEnabled(true)
+	c.Record(trace.Span{Kind: trace.KindBatch, Dur: 0, Arg0: 10})
+	st := c.Stat(trace.KindBatch)
+	if st.Ops != 10 || st.Calls != 1 || st.Total != 0 {
+		t.Fatalf("zero-duration batch aggregated as %+v", st)
+	}
 	dims := kernels.Dims{StateCount: 4, PatternCount: 1000, CategoryCount: 4}
-	c.AddFlops(flops.PartialsOp(dims) * 5)
+	total := float64(st.Ops) * flops.PartialsOp(dims)
+	if total <= 0 {
+		t.Fatalf("TotalFlops = %v, want > 0", total)
+	}
+	if g := flops.GFLOPS(total, st.Total); g != 0 {
+		t.Errorf("EffectiveGFLOPS with zero partials wall time = %v, want 0", g)
+	}
+	ks := gobeagle.KernelStats{Kernel: "partials", Ops: st.Ops, Calls: st.Calls, Total: st.Total}
+	if ks.MeanPerOp() != 0 || ks.MeanPerCall() != 0 {
+		t.Errorf("zero-duration kernel means = %v/%v, want 0/0", ks.MeanPerOp(), ks.MeanPerCall())
+	}
+}
 
-	snap := c.Snapshot()
-	if snap.Implementation != "CPU-serial" || snap.Strategy != "serial" {
-		t.Fatalf("labels not reported: %q/%q", snap.Implementation, snap.Strategy)
+// TestKernelStrings pins the span kinds the reported kernel families
+// ("partials", "root", "edge", "matrices", "derivatives", "rescale") are
+// aggregated from: each counts, each has its own export name, and an
+// out-of-range kind stringifies as unknown and never counts.
+func TestKernelStrings(t *testing.T) {
+	want := map[trace.Kind]string{
+		trace.KindBatch:       "partials batch",
+		trace.KindRoot:        "root likelihood",
+		trace.KindEdge:        "edge likelihood",
+		trace.KindMatrices:    "transition matrices",
+		trace.KindDerivatives: "derivative matrices",
+		trace.KindRescale:     "rescale",
 	}
-	if !snap.Enabled {
-		t.Fatal("snapshot should report enabled")
-	}
-	p := snap.Kernel(KernelPartials)
-	if p.Ops != 5 || p.Calls != 2 {
-		t.Fatalf("partials ops/calls = %d/%d, want 5/2", p.Ops, p.Calls)
-	}
-	if p.Total != 3*time.Millisecond {
-		t.Fatalf("partials total = %v, want 3ms", p.Total)
-	}
-	if p.Min != 1*time.Millisecond || p.Max != 2*time.Millisecond {
-		t.Fatalf("partials min/max = %v/%v, want 1ms/2ms", p.Min, p.Max)
-	}
-	if want := 3 * time.Millisecond / 5; p.MeanPerOp() != want {
-		t.Fatalf("MeanPerOp = %v, want %v", p.MeanPerOp(), want)
-	}
-	if want := 3 * time.Millisecond / 2; p.MeanPerCall() != want {
-		t.Fatalf("MeanPerCall = %v, want %v", p.MeanPerCall(), want)
-	}
-	r := snap.Kernel(KernelRoot)
-	if r.Ops != 1 || r.Calls != 1 || r.Total != 500*time.Microsecond {
-		t.Fatalf("root stats wrong: %+v", r)
-	}
-	// Kernels with no recorded calls are omitted entirely.
-	for _, ks := range snap.Kernels {
-		if ks.Kernel == KernelEdge {
-			t.Fatal("edge kernel reported without any calls")
+	c := trace.New()
+	c.SetEnabled(true)
+	for k, name := range want {
+		if k.String() != name {
+			t.Errorf("kind %d String() = %q, want %q", k, k.String(), name)
+		}
+		c.Record(trace.Span{Kind: k, Arg0: 1})
+		if c.Stat(k).Calls != 1 {
+			t.Errorf("%v span not counted", k)
 		}
 	}
-	if want := flops.PartialsOp(dims) * 5; snap.TotalFlops != want {
-		t.Fatalf("TotalFlops = %v, want %v", snap.TotalFlops, want)
+	if trace.Kind(99).String() != "unknown" {
+		t.Error("out-of-range kind should stringify as unknown")
 	}
-	if want := flops.GFLOPS(snap.TotalFlops, p.Total); snap.EffectiveGFLOPS != want {
-		t.Fatalf("EffectiveGFLOPS = %v, want %v", snap.EffectiveGFLOPS, want)
-	}
-}
-
-func TestHistogramBuckets(t *testing.T) {
-	c := New()
-	c.SetEnabled(true)
-	durations := []time.Duration{
-		1 * time.Nanosecond,
-		100 * time.Nanosecond,
-		10 * time.Microsecond,
-		1 * time.Millisecond,
-		1 * time.Millisecond,
-	}
-	for _, d := range durations {
-		c.Record(KernelMatrices, 1, d)
-	}
-	h := c.Snapshot().Kernel(KernelMatrices).Histogram
-	if len(h) != 4 {
-		t.Fatalf("expected 4 non-empty buckets, got %d: %+v", len(h), h)
-	}
-	var total uint64
-	last := time.Duration(-1)
-	for _, b := range h {
-		if b.UpperBound <= last {
-			t.Fatalf("buckets not ascending: %+v", h)
-		}
-		last = b.UpperBound
-		total += b.Count
-	}
-	if total != uint64(len(durations)) {
-		t.Fatalf("bucket counts sum to %d, want %d", total, len(durations))
-	}
-	if h[len(h)-1].Count != 2 {
-		t.Fatalf("1ms bucket count = %d, want 2", h[len(h)-1].Count)
+	if st := c.Stat(trace.Kind(99)); st != (trace.Stat{}) {
+		t.Errorf("out-of-range kind has stats: %+v", st)
 	}
 }
 
-func TestNegativeDurationClampedToZero(t *testing.T) {
-	c := New()
-	c.SetEnabled(true)
-	c.Record(KernelRoot, 1, -time.Second)
-	ks := c.Snapshot().Kernel(KernelRoot)
-	if ks.Total != 0 || ks.Min != 0 || ks.Max != 0 {
-		t.Fatalf("negative duration not clamped: %+v", ks)
-	}
-}
-
+// TestTraceRingWrapKeepsNewestOldestFirst pins the ring Stats.Levels is
+// read from: once more dependency-level spans are recorded than the tracer
+// retains, the newest TraceCapacity survive, returned oldest first.
 func TestTraceRingWrapKeepsNewestOldestFirst(t *testing.T) {
-	c := New()
+	c := trace.New()
 	c.SetEnabled(true)
 	const extra = 50
-	for i := 0; i < TraceCapacity+extra; i++ {
-		c.TraceLevel(uint64(i+1), i, 2, 4, time.Duration(i))
+	for i := 0; i < trace.TraceCapacity+extra; i++ {
+		c.Record(trace.Span{Kind: trace.KindLevel, Batch: uint64(i + 1),
+			Arg0: trace.LevelArg(i, 2), Arg1: 4, Dur: int64(i)})
 	}
-	levels := c.Snapshot().Levels
-	if len(levels) != TraceCapacity {
-		t.Fatalf("ring retained %d traces, want %d", len(levels), TraceCapacity)
+	levels := c.Snapshot()
+	if len(levels) != trace.TraceCapacity {
+		t.Fatalf("ring retained %d traces, want %d", len(levels), trace.TraceCapacity)
 	}
 	if levels[0].Batch != extra+1 {
 		t.Fatalf("oldest retained batch = %d, want %d", levels[0].Batch, extra+1)
@@ -166,180 +237,7 @@ func TestTraceRingWrapKeepsNewestOldestFirst(t *testing.T) {
 			t.Fatalf("traces out of order at %d: %d then %d", i, levels[i-1].Batch, levels[i].Batch)
 		}
 	}
-}
-
-func TestReset(t *testing.T) {
-	c := New()
-	c.SetEnabled(true)
-	c.SetLabels("impl", "strategy")
-	c.NextBatch()
-	c.Record(KernelPartials, 2, time.Millisecond)
-	c.AddFlops(1e6)
-	c.TraceLevel(1, 0, 2, 2, time.Millisecond)
-
-	c.Reset()
-	snap := c.Snapshot()
-	if len(snap.Kernels) != 0 || snap.TotalFlops != 0 || snap.Batches != 0 || len(snap.Levels) != 0 {
-		t.Fatalf("Reset left state behind: %+v", snap)
-	}
-	if snap.Implementation != "impl" || !snap.Enabled {
-		t.Fatal("Reset must preserve labels and the enabled switch")
-	}
-	// The collector keeps working after a reset, min/max included.
-	c.Record(KernelPartials, 1, 2*time.Millisecond)
-	p := c.Snapshot().Kernel(KernelPartials)
-	if p.Min != 2*time.Millisecond || p.Max != 2*time.Millisecond {
-		t.Fatalf("post-reset min/max wrong: %+v", p)
-	}
-}
-
-// TestConcurrentRecording hammers every mutating entry point from many
-// goroutines (run under -race in CI) and checks the final counters are exact
-// and snapshots taken mid-flight stay internally consistent.
-func TestConcurrentRecording(t *testing.T) {
-	c := New()
-	c.SetEnabled(true)
-	const (
-		goroutines = 8
-		iters      = 500
-		opsPerCall = 3
-	)
-	var writers, reader sync.WaitGroup
-	stop := make(chan struct{})
-	// Concurrent snapshotter: invariants must hold at every instant.
-	reader.Add(1)
-	go func() {
-		defer reader.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			snap := c.Snapshot()
-			p := snap.Kernel(KernelPartials)
-			if p.Ops != opsPerCall*p.Calls {
-				t.Errorf("snapshot ops %d != %d*calls %d", p.Ops, opsPerCall, p.Calls)
-				return
-			}
-			if len(snap.Levels) > TraceCapacity {
-				t.Errorf("snapshot retained %d levels", len(snap.Levels))
-				return
-			}
-			var inHist uint64
-			for _, b := range p.Histogram {
-				inHist += b.Count
-			}
-			if inHist != p.Calls {
-				t.Errorf("histogram holds %d samples, calls %d", inHist, p.Calls)
-				return
-			}
-		}
-	}()
-	for g := 0; g < goroutines; g++ {
-		writers.Add(1)
-		go func() {
-			defer writers.Done()
-			for i := 0; i < iters; i++ {
-				batch := c.NextBatch()
-				c.Record(KernelPartials, opsPerCall, time.Duration(i+1)*time.Microsecond)
-				c.AddFlops(10)
-				c.TraceLevel(batch, 0, opsPerCall, opsPerCall, time.Microsecond)
-			}
-		}()
-	}
-	writers.Wait()
-	close(stop)
-	reader.Wait()
-
-	snap := c.Snapshot()
-	p := snap.Kernel(KernelPartials)
-	if p.Calls != goroutines*iters {
-		t.Fatalf("calls = %d, want %d", p.Calls, goroutines*iters)
-	}
-	if p.Ops != goroutines*iters*opsPerCall {
-		t.Fatalf("ops = %d, want %d", p.Ops, goroutines*iters*opsPerCall)
-	}
-	if snap.Batches != goroutines*iters {
-		t.Fatalf("batches = %d, want %d", snap.Batches, goroutines*iters)
-	}
-	if want := float64(goroutines * iters * 10); math.Abs(snap.TotalFlops-want) > 1e-6 {
-		t.Fatalf("TotalFlops = %v, want %v", snap.TotalFlops, want)
-	}
-	if len(snap.Levels) != TraceCapacity {
-		t.Fatalf("retained %d traces, want %d", len(snap.Levels), TraceCapacity)
-	}
-}
-
-// TestDisabledPathAllocatesNothing pins the zero-allocation guarantee of the
-// disabled fast path: the guard plus the no-op record must not allocate.
-func TestDisabledPathAllocatesNothing(t *testing.T) {
-	c := New()
-	var nilC *Collector
-	for name, col := range map[string]*Collector{"disabled": c, "nil": nilC} {
-		allocs := testing.AllocsPerRun(1000, func() {
-			if col.Enabled() {
-				col.Record(KernelPartials, 1, time.Microsecond)
-			}
-			col.Record(KernelRoot, 1, time.Microsecond)
-			col.AddFlops(1)
-			col.NextBatch()
-		})
-		if allocs != 0 {
-			t.Errorf("%s path allocates %.1f per run, want 0", name, allocs)
-		}
-	}
-}
-
-func TestKernelStrings(t *testing.T) {
-	want := []string{"partials", "root", "edge", "matrices", "derivatives", "rescale"}
-	ks := Kernels()
-	if len(ks) != len(want) {
-		t.Fatalf("Kernels() returned %d families, want %d", len(ks), len(want))
-	}
-	for i, k := range ks {
-		if k.String() != want[i] {
-			t.Errorf("kernel %d String() = %q, want %q", i, k.String(), want[i])
-		}
-	}
-	if Kernel(99).String() != "unknown" {
-		t.Error("out-of-range kernel should stringify as unknown")
-	}
-}
-
-func BenchmarkDisabledGuard(b *testing.B) {
-	c := New()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if c.Enabled() {
-			c.Record(KernelPartials, 1, time.Microsecond)
-		}
-	}
-}
-
-func BenchmarkEnabledRecord(b *testing.B) {
-	c := New()
-	c.SetEnabled(true)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.Record(KernelPartials, 4, time.Microsecond)
-	}
-}
-
-// TestEnabledHotPathAllocatesNothing extends the zero-allocation guarantee
-// to the enabled path: counters and histograms are plain atomics, so turning
-// telemetry on must add time, never garbage.
-func TestEnabledHotPathAllocatesNothing(t *testing.T) {
-	c := New()
-	c.SetEnabled(true)
-	allocs := testing.AllocsPerRun(1000, func() {
-		if c.Enabled() {
-			c.Record(KernelPartials, 4, time.Microsecond)
-			c.AddFlops(128)
-		}
-		c.NextBatch()
-	})
-	if allocs != 0 {
-		t.Errorf("enabled path allocates %.1f per run, want 0", allocs)
+	if idx, tasks := levels[0].Level(); idx != extra || tasks != 2 {
+		t.Fatalf("oldest level = %d (%d tasks), want %d (2 tasks)", idx, tasks, extra)
 	}
 }

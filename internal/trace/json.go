@@ -44,7 +44,9 @@ func spanArgs(s Span) map[string]any {
 	case KindBatch, KindBackend:
 		args["ops"] = s.Arg0
 	case KindLevel:
-		args["level"] = s.Arg0
+		level, tasks := s.Level()
+		args["level"] = level
+		args["tasks"] = tasks
 		args["ops"] = s.Arg1
 	case KindTask:
 		args["patterns"] = s.Arg0

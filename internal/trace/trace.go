@@ -1,17 +1,22 @@
-// Package trace is the library's span tracer: the timeline counterpart of
-// the aggregate counters in internal/telemetry. Where telemetry answers "how
-// much time did each kernel family take", the tracer answers "what did the
-// scheduler, the workers, the modeled devices and the multi-device engine
-// actually do, and when" — the view the paper's evaluation (Fig. 4–6,
-// Tables III–V) needs to explain crossover points and multi-device splits.
+// Package trace is the library's one instrumentation primitive: a span
+// tracer whose spans feed both the timeline and the aggregate counters. The
+// timeline answers "what did the scheduler, the workers, the modeled devices
+// and the multi-device engine actually do, and when" — the view the paper's
+// evaluation (Fig. 4–6, Tables III–V) needs to explain crossover points and
+// multi-device splits. The aggregates answer "how much time did each kernel
+// family take": Record folds every span of an engine-call kind (partials
+// batches, barriers, root and edge integrations, matrix updates, rescales)
+// into a per-kind summary of operation and call counts, total/min/max time
+// and a log₂ duration histogram — the partials-kernel timing the paper's
+// effective-GFLOPS method (§V-A) rests on, read back through Stat.
 //
 // A Tracer is attached to one engine instance through engine.Config.Trace
 // and shared by every layer of that instance (scheduler, worker pool, device
 // queues, multi-device barriers). Spans are fixed-size values written into
 // sharded ring buffers; the record path allocates nothing and the disabled
-// fast path is a single atomic load, exactly like the telemetry collector.
-// Ring memory is only allocated when tracing is first enabled, so the tracer
-// every instance carries costs a few words while off.
+// fast path is a single atomic load. Ring memory is only allocated when
+// tracing is first enabled, so the tracer every instance carries costs a few
+// words while off.
 //
 // Snapshots merge the shards into one sequence-ordered span list, and
 // WriteJSON renders that list as Chrome trace-event JSON loadable in
@@ -20,6 +25,7 @@
 package trace
 
 import (
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -37,7 +43,8 @@ const (
 	// resubmission appears as a skip span with Arg0 = 0).
 	KindBatch Kind = iota
 	// KindLevel is one scheduler dependency level of a leveled CPU strategy
-	// (Arg0 = level index, Arg1 = ops in the level).
+	// (Arg0 = LevelArg(level index, dispatched tasks), Arg1 = ops in the
+	// level).
 	KindLevel
 	// KindRoot is one root-likelihood integration.
 	KindRoot
@@ -91,6 +98,11 @@ const (
 	// KindRPC span edges and this span is the wire + codec time
 	// (Arg0 = the wire operation code).
 	KindRemoteApply
+	// KindEdge is one edge log-likelihood or edge-derivative integration.
+	KindEdge
+	// KindRescale is one accelerator rescale or scale-read kernel call,
+	// timed on the host.
+	KindRescale
 	numKinds
 )
 
@@ -133,6 +145,10 @@ func (k Kind) String() string {
 		return "serve compile"
 	case KindRemoteApply:
 		return "worker apply"
+	case KindEdge:
+		return "edge likelihood"
+	case KindRescale:
+		return "rescale"
 	default:
 		return "unknown"
 	}
@@ -179,7 +195,7 @@ func (l Layer) String() string {
 // Layer maps a span kind to its process track.
 func (k Kind) Layer() Layer {
 	switch k {
-	case KindBatch, KindLevel, KindRoot:
+	case KindBatch, KindLevel, KindRoot, KindEdge, KindRescale:
 		return LayerScheduler
 	case KindTask:
 		return LayerWorker
@@ -220,6 +236,13 @@ type Span struct {
 	Seq   uint64
 }
 
+// LevelArg packs a dependency level's index and dispatched task count into
+// a KindLevel span's Arg0: the index in the low 32 bits, the tasks above.
+func LevelArg(level, tasks int) int64 { return int64(level) | int64(tasks)<<32 }
+
+// Level unpacks a KindLevel span's Arg0 (see LevelArg).
+func (s Span) Level() (index, tasks int) { return int(uint32(s.Arg0)), int(s.Arg0 >> 32) }
+
 // Ring geometry: spans are striped across shards by sequence number, so
 // concurrent writers (pool workers, multi-device backends) rarely contend on
 // one mutex, and each shard keeps its most recent spanCap spans.
@@ -240,21 +263,95 @@ type shard struct {
 	slots [spanCap]Span
 }
 
-// rings is the lazily allocated span storage (~1 MiB); it is published once
-// behind an atomic pointer when tracing is first enabled.
+// rings is the lazily allocated span storage (~1 MiB) and the per-kind
+// aggregates; it is published once behind an atomic pointer when tracing is
+// first enabled.
 type rings struct {
 	shards [shardCount]shard
+	stats  [numKinds]kindStat
+}
+
+// HistBuckets is the number of log₂ duration buckets in a Stat. Bucket b
+// counts spans whose duration in nanoseconds has bit length b (it lies in
+// [2^(b-1), 2^b)); the last bucket absorbs everything longer (≈2 s and up).
+const HistBuckets = 32
+
+// Stat summarizes the counted spans of one kind since the last Reset.
+type Stat struct {
+	// Ops counts logical operations (partials operations, matrices; one per
+	// root, edge or rescale call); Calls counts spans.
+	Ops     uint64
+	Calls   uint64
+	Total   time.Duration
+	Min     time.Duration
+	Max     time.Duration
+	Buckets [HistBuckets]uint64
+}
+
+// kindStat is one kind's aggregate. Like a ring shard, its mutex guards a
+// few stores per span, so a Stat read under it is exact: Ops, Calls and the
+// histogram always describe the same set of spans.
+type kindStat struct {
+	mu sync.Mutex
+	Stat
+}
+
+//beagle:noalloc
+func (k *kindStat) add(ops, ns int64) {
+	if ns < 0 {
+		ns = 0
+	}
+	b := bits.Len64(uint64(ns))
+	if b >= HistBuckets {
+		b = HistBuckets - 1
+	}
+	d := time.Duration(ns)
+	k.mu.Lock()
+	if k.Calls == 0 || d < k.Min {
+		k.Min = d
+	}
+	if d > k.Max {
+		k.Max = d
+	}
+	k.Ops += uint64(ops)
+	k.Calls++
+	k.Total += d
+	k.Buckets[b]++
+	k.mu.Unlock()
+}
+
+// statOps reports whether spans like s are aggregated and how many logical
+// operations s covers. A matrices span that computed nothing (every matrix
+// reused) is not a kernel call.
+//
+//beagle:noalloc
+func statOps(s Span) (int64, bool) {
+	switch s.Kind {
+	case KindBatch, KindDerivatives:
+		return s.Arg0, true
+	case KindMatrices:
+		return s.Arg0, s.Arg0 > 0
+	case KindBarrier:
+		return s.Arg1, true
+	case KindRoot, KindEdge, KindRescale:
+		return 1, true
+	}
+	return 0, false
 }
 
 // Tracer records spans for one instance. The zero value is usable and
 // disabled; a nil *Tracer is valid everywhere and permanently disabled.
 type Tracer struct {
 	enabled atomic.Bool
-	seq     atomic.Uint64
-	batches atomic.Uint64
-	req     atomic.Uint64
-	rings   atomic.Pointer[rings]
-	epoch   time.Time
+	// statsLane is the lane whose spans Record aggregates: 0, a single
+	// engine's lane, unless a multi-device parent claimed the tracer for its
+	// own lane -1 so its backends' per-lane spans are never counted twice.
+	statsLane atomic.Int32
+	seq       atomic.Uint64
+	batches   atomic.Uint64
+	req       atomic.Uint64
+	rings     atomic.Pointer[rings]
+	epoch     time.Time
 }
 
 // New creates a disabled tracer. Ring memory is not allocated until
@@ -293,6 +390,25 @@ func (t *Tracer) Now() int64 {
 		return 0
 	}
 	return int64(time.Since(t.epoch))
+}
+
+// Begin opens a host span: the current timestamp, or -1 without reading
+// the clock when the tracer is off.
+func (t *Tracer) Begin() int64 {
+	if !t.Enabled() {
+		return -1
+	}
+	return t.Now()
+}
+
+// End records s as a span from s.Start, a Begin timestamp, to now; it
+// records nothing when Begin found the tracer off.
+func (t *Tracer) End(s Span) {
+	if s.Start < 0 {
+		return
+	}
+	s.Dur = t.Now() - s.Start
+	t.Record(s)
 }
 
 // EpochNanos returns the wall-clock instant (UnixNano) the tracer's Start
@@ -341,9 +457,27 @@ func (t *Tracer) NextBatch() uint64 {
 	return t.batches.Add(1)
 }
 
-// Record appends one span. Safe for concurrent use from any goroutine; the
-// hot path performs no allocation and no time queries — callers supply
-// Start/Dur from Now() or from the modeled device clock.
+// SetStatsLane selects the lane whose spans Record aggregates (see
+// Tracer.statsLane). Multi-device parents set -1 before any backend runs.
+func (t *Tracer) SetStatsLane(lane int32) {
+	if t == nil {
+		return
+	}
+	t.statsLane.Store(lane)
+}
+
+// StatsLane returns the lane whose spans Record aggregates.
+func (t *Tracer) StatsLane() int32 {
+	if t == nil {
+		return 0
+	}
+	return t.statsLane.Load()
+}
+
+// Record appends one span and, for an engine-call kind on the stats lane,
+// folds it into that kind's Stat. Safe for concurrent use from any
+// goroutine; the hot path performs no allocation and no time queries —
+// callers supply Start/Dur from Now() or from the modeled device clock.
 //
 //beagle:noalloc
 func (t *Tracer) Record(s Span) {
@@ -364,6 +498,25 @@ func (t *Tracer) Record(s Span) {
 	sh.slots[sh.count%spanCap] = s
 	sh.count++
 	sh.mu.Unlock()
+	if ops, ok := statOps(s); ok && s.Lane == t.statsLane.Load() {
+		r.stats[s.Kind].add(ops, s.Dur)
+	}
+}
+
+// Stat returns the aggregate of one kind's counted spans; zero when
+// nothing was counted.
+func (t *Tracer) Stat(k Kind) Stat {
+	if t == nil || k >= numKinds {
+		return Stat{}
+	}
+	r := t.rings.Load()
+	if r == nil {
+		return Stat{}
+	}
+	ks := &r.stats[k]
+	ks.mu.Lock()
+	defer ks.mu.Unlock()
+	return ks.Stat
 }
 
 // Snapshot returns the retained spans in record order (ascending Seq). Safe
@@ -398,8 +551,9 @@ func sortSpans(s []Span) {
 	sort.Slice(s, func(i, j int) bool { return s[i].Seq < s[j].Seq })
 }
 
-// Reset discards all retained spans and restarts the sequence and batch
-// counters; the enabled switch and epoch are unchanged.
+// Reset discards all retained spans and aggregates and restarts the
+// sequence and batch counters; the enabled switch, stats lane and epoch are
+// unchanged.
 func (t *Tracer) Reset() {
 	if t == nil {
 		return
@@ -411,6 +565,12 @@ func (t *Tracer) Reset() {
 			sh.mu.Lock()
 			sh.count = 0
 			sh.mu.Unlock()
+		}
+		for i := range r.stats {
+			ks := &r.stats[i]
+			ks.mu.Lock()
+			ks.Stat = Stat{}
+			ks.mu.Unlock()
 		}
 	}
 	t.seq.Store(0)

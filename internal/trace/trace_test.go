@@ -24,6 +24,16 @@ func TestDisabledAndNilRecordNothing(t *testing.T) {
 		if tr.Now() != 0 && name == "nil" {
 			t.Fatalf("nil tracer returned a timestamp")
 		}
+		// Counted kinds leave no aggregate either; none of these may panic.
+		tr.Record(Span{Kind: KindRoot, Dur: 1000})
+		tr.SetStatsLane(-1)
+		tr.Reset()
+		if st := tr.Stat(KindBatch); st != (Stat{}) {
+			t.Fatalf("%s tracer aggregated %+v", name, st)
+		}
+		if st := tr.Stat(KindRoot); st != (Stat{}) {
+			t.Fatalf("%s tracer aggregated %+v", name, st)
+		}
 	}
 }
 
@@ -123,19 +133,23 @@ func TestConcurrentRecordSnapshot(t *testing.T) {
 
 // TestRecordPathAllocatesNothing is the AllocsPerRun guard for the exported
 // //beagle:noalloc surface: Enabled, NextBatch, Record, SetRequest and
-// CurrentRequest on both the enabled and the disabled path.
+// CurrentRequest on the enabled, disabled and nil paths, recording both a
+// retained-only span and a counted one (folded into its kind's Stat).
 func TestRecordPathAllocatesNothing(t *testing.T) {
 	on := New()
 	on.SetEnabled(true)
 	off := New()
+	var nilT *Tracer
 	span := Span{Kind: KindKernel, Lane: 1, Batch: 3, Start: 100, Dur: 50, Arg0: 4096}
-	for name, tr := range map[string]*Tracer{"enabled": on, "disabled": off} {
+	counted := Span{Kind: KindBatch, Batch: 3, Start: 100, Dur: 50, Arg0: 4}
+	for name, tr := range map[string]*Tracer{"enabled": on, "disabled": off, "nil": nilT} {
 		allocs := testing.AllocsPerRun(1000, func() {
 			tr.SetRequest(42)
 			if tr.Enabled() {
 				tr.Record(span)
 			}
 			tr.Record(span)
+			tr.Record(counted)
 			tr.NextBatch()
 			tr.SetRequest(tr.CurrentRequest() - tr.CurrentRequest())
 		})

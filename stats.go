@@ -1,22 +1,27 @@
 package gobeagle
 
 import (
+	"math"
 	"time"
 
+	"gobeagle/internal/flops"
+	"gobeagle/internal/kernels"
 	"gobeagle/internal/multiimpl"
 	"gobeagle/internal/reuse"
-	"gobeagle/internal/telemetry"
+	"gobeagle/internal/trace"
 )
 
-// Stats is a point-in-time snapshot of an instance's telemetry: per-kernel
-// operation counters and duration histograms, effective-GFLOPS accounting,
-// and the retained scheduler dependency-level traces. Snapshots are taken
-// atomically against concurrent recording and are plain data, safe to retain
-// and to serialize (all fields marshal cleanly to JSON).
+// Stats is a point-in-time snapshot of an instance's telemetry, derived from
+// its span tracer: per-kernel operation counters and duration histograms
+// aggregated as each span completes, effective-GFLOPS accounting, and the
+// retained scheduler dependency-level spans. Each kernel family's counters
+// are read as one unit against concurrent recording, and snapshots are plain
+// data, safe to retain and to serialize (all fields marshal cleanly to JSON).
 //
 // Collection is off unless the instance was created with FlagTelemetry or
-// EnableTelemetry(true) was called; a disabled instance yields a snapshot
-// with Enabled == false and whatever was recorded while collection was on.
+// FlagTrace, or EnableTelemetry(true) or EnableTrace(true) was called — all
+// four set the same switch; a disabled instance yields a snapshot with
+// Enabled == false and whatever was recorded while collection was on.
 type Stats struct {
 	// Implementation is the engine name, e.g. "CPU-threadpool-hybrid" or
 	// "OpenCL-GPU: Radeon R9 Nano".
@@ -27,8 +32,8 @@ type Stats struct {
 	Strategy string `json:"strategy"`
 	// Enabled reports whether collection was on when the snapshot was taken.
 	Enabled bool `json:"enabled"`
-	// TotalFlops is the accumulated effective floating-point operation count
-	// of the partials updates — the paper's §V-A measure, from the same
+	// TotalFlops is the effective floating-point operation count of the
+	// recorded partials operations — the paper's §V-A measure, from the same
 	// per-operation flop model genomictest and beaglebench use.
 	TotalFlops float64 `json:"total_flops"`
 	// EffectiveGFLOPS relates TotalFlops to the partials kernel's total wall
@@ -40,9 +45,11 @@ type Stats struct {
 	// Kernels holds per-kernel-family stats, only for families with
 	// recorded calls.
 	Kernels []KernelStats `json:"kernels,omitempty"`
-	// Levels are the most recent scheduler dependency-level traces, oldest
-	// first (recorded by the leveled CPU strategies: futures and
-	// thread-pool-hybrid).
+	// Levels are the most recent scheduler dependency levels (at most
+	// maxLevels), oldest first, read from the tracer's retained level spans
+	// (recorded by the leveled CPU strategies: futures and
+	// thread-pool-hybrid). Multi-device instances report none: their
+	// backends' levels are on the backends' own lanes.
 	Levels []LevelTrace `json:"levels,omitempty"`
 	// Backends holds per-backend utilization for multi-device instances
 	// created with FlagRebalance: the current pattern slice and measured
@@ -144,37 +151,60 @@ type LevelTrace struct {
 	Wall  time.Duration `json:"wall_ns"`
 }
 
+// maxLevels bounds Stats.Levels to the most recent dependency levels.
+const maxLevels = 256
+
+// statsKernels lists the reported kernel families in presentation order
+// with the span kind each is aggregated from.
+var statsKernels = []struct {
+	name string
+	kind trace.Kind
+}{
+	{"partials", trace.KindBatch},
+	{"root", trace.KindRoot},
+	{"edge", trace.KindEdge},
+	{"matrices", trace.KindMatrices},
+	{"derivatives", trace.KindDerivatives},
+	{"rescale", trace.KindRescale},
+}
+
 // Stats returns the instance's telemetry snapshot. Safe to call while other
 // goroutines drive the instance's sibling instances; note the instance
 // itself is still single-goroutine for computation methods.
 func (in *Instance) Stats() Stats {
-	snap := in.tel.Snapshot()
-	out := Stats{
-		Implementation:  snap.Implementation,
-		Strategy:        snap.Strategy,
-		Enabled:         snap.Enabled,
-		TotalFlops:      snap.TotalFlops,
-		EffectiveGFLOPS: snap.EffectiveGFLOPS,
-		Batches:         snap.Batches,
-	}
-	for _, ks := range snap.Kernels {
-		pk := KernelStats{
-			Kernel: ks.Kernel.String(),
-			Ops:    ks.Ops,
-			Calls:  ks.Calls,
-			Total:  ks.Total,
-			Min:    ks.Min,
-			Max:    ks.Max,
+	out := Stats{Implementation: in.impl, Strategy: in.strategy, Enabled: in.tr.Enabled()}
+	me, multi := in.eng.(*multiimpl.Engine)
+	for _, f := range statsKernels {
+		k := f.kind
+		if multi && k == trace.KindBatch {
+			// A multi-device or distributed batch is the barrier spanning
+			// all backends.
+			k = trace.KindBarrier
 		}
-		for _, b := range ks.Histogram {
-			pk.Histogram = append(pk.Histogram, HistogramBucket(b))
+		if st := in.tr.Stat(k); st.Calls > 0 {
+			out.Kernels = append(out.Kernels, kernelStats(f.name, st))
 		}
-		out.Kernels = append(out.Kernels, pk)
 	}
-	for _, lt := range snap.Levels {
-		out.Levels = append(out.Levels, LevelTrace(lt))
+	p := out.Kernel("partials")
+	out.Batches = p.Calls
+	out.TotalFlops = float64(p.Ops) * flops.PartialsOp(kernels.Dims{
+		StateCount:    in.cfg.StateCount,
+		PatternCount:  in.cfg.PatternCount,
+		CategoryCount: in.cfg.CategoryCount,
+	})
+	out.EffectiveGFLOPS = flops.GFLOPS(out.TotalFlops, p.Total)
+	lane := in.tr.StatsLane()
+	for _, s := range in.tr.Snapshot() {
+		if s.Kind == trace.KindLevel && s.Lane == lane {
+			level, tasks := s.Level()
+			out.Levels = append(out.Levels, LevelTrace{Batch: s.Batch, Level: level,
+				Ops: int(s.Arg1), Tasks: tasks, Wall: time.Duration(s.Dur)})
+		}
 	}
-	if me, ok := in.eng.(*multiimpl.Engine); ok {
+	if n := len(out.Levels); n > maxLevels {
+		out.Levels = out.Levels[n-maxLevels:]
+	}
+	if multi {
 		if rs, enabled := me.RebalanceStats(); enabled {
 			for i := range rs.Lo {
 				out.Backends = append(out.Backends, BackendStats{
@@ -252,16 +282,35 @@ func (in *Instance) ReuseStats() ReuseStats {
 	return ReuseStats{}
 }
 
-// ResetStats clears all telemetry counters, histograms, the flop accumulator
-// and the level-trace ring; the enabled switch is unchanged.
-func (in *Instance) ResetStats() { in.tel.Reset() }
+// kernelStats converts one span kind's aggregate into its public form.
+func kernelStats(name string, st trace.Stat) KernelStats {
+	ks := KernelStats{Kernel: name, Ops: st.Ops, Calls: st.Calls, Total: st.Total, Min: st.Min, Max: st.Max}
+	for b, n := range st.Buckets {
+		if n == 0 {
+			continue
+		}
+		upper := time.Duration(math.MaxInt64)
+		if b < trace.HistBuckets-1 {
+			upper = time.Duration(int64(1)<<b - 1)
+		}
+		ks.Histogram = append(ks.Histogram, HistogramBucket{UpperBound: upper, Count: n})
+	}
+	return ks
+}
 
-// EnableTelemetry switches collection on or off at runtime. Disabled
-// collection costs a single atomic load per instrumented call.
-func (in *Instance) EnableTelemetry(on bool) { in.tel.SetEnabled(on) }
+// ResetStats clears the tracer: every kernel counter and histogram and every
+// retained span, dependency levels included. It is the same operation as
+// ResetTrace; the enabled switch is unchanged.
+func (in *Instance) ResetStats() { in.tr.Reset() }
 
-// TelemetryEnabled reports whether collection is currently on.
-func (in *Instance) TelemetryEnabled() bool { return in.tel.Enabled() }
+// EnableTelemetry switches collection on or off at runtime. It sets the one
+// instrumentation switch EnableTrace also sets; disabled collection costs a
+// single atomic load per instrumented call.
+func (in *Instance) EnableTelemetry(on bool) { in.tr.SetEnabled(on) }
+
+// TelemetryEnabled reports whether collection is currently on (the same
+// switch TraceEnabled reports).
+func (in *Instance) TelemetryEnabled() bool { return in.tr.Enabled() }
 
 // strategyName derives the reported scheduling-strategy label from the
 // instance flags (CPU resources only; device-backed instances report
@@ -281,13 +330,4 @@ func strategyName(flags Flags) string {
 	default:
 		return "serial"
 	}
-}
-
-// newInstanceCollector builds the collector every instance carries: always
-// present so telemetry can be toggled at runtime, enabled only when
-// FlagTelemetry is set.
-func newInstanceCollector(flags Flags) *telemetry.Collector {
-	tel := telemetry.New()
-	tel.SetEnabled(flags&FlagTelemetry != 0)
-	return tel
 }

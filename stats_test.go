@@ -92,6 +92,11 @@ func TestKernelStatsZeroGuards(t *testing.T) {
 	if k.MeanPerOp() != 100 {
 		t.Errorf("MeanPerOp = %v, want 100", k.MeanPerOp())
 	}
+	// Calls without ops: only the populated mean divides.
+	callsOnly := KernelStats{Calls: 3, Total: 300}
+	if callsOnly.MeanPerOp() != 0 || callsOnly.MeanPerCall() != 100 {
+		t.Errorf("calls-only means = %v/%v, want 0/100", callsOnly.MeanPerOp(), callsOnly.MeanPerCall())
+	}
 	// A freshly created instance must report finite, zero GFLOPS.
 	if s := (Stats{}); s.EffectiveGFLOPS != 0 {
 		t.Errorf("zero Stats EffectiveGFLOPS = %v", s.EffectiveGFLOPS)
@@ -159,5 +164,45 @@ func TestStatsOnDeviceAndMultiDevice(t *testing.T) {
 	}
 	if p := ms.Kernel("partials"); p.Ops != uint64(tr.TipCount-1) {
 		t.Errorf("multi-device partials ops = %d, want %d (no double counting)", p.Ops, tr.TipCount-1)
+	}
+	assertTopLevelCounts(t, "multi-device", ms, tr)
+
+	// Distributed: the backends are loopback workers whose client RPC spans
+	// share the instance's tracer; only the coordinator's spans count.
+	addr1, _ := startTestWorker(t)
+	addr2, _ := startTestWorker(t)
+	dist, err := NewDistributedInstance(instanceConfig(tr, 4, ps.PatternCount(), 4, 0,
+		FlagTelemetry), []string{addr1, addr2}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evaluateTree(t, dist, tr, m, rates, ps)
+	dst := dist.Stats()
+	dist.Finalize()
+	if dst.Strategy != "distributed" {
+		t.Errorf("distributed strategy = %q", dst.Strategy)
+	}
+	if p := dst.Kernel("partials"); p.Ops != uint64(tr.TipCount-1) {
+		t.Errorf("distributed partials ops = %d, want %d (no double counting)", p.Ops, tr.TipCount-1)
+	}
+	assertTopLevelCounts(t, "distributed", dst, tr)
+}
+
+// assertTopLevelCounts pins the counts a tracer shared with sub-engines
+// could double: one evaluateTree is one batch, one root integration and one
+// matrix update of the schedule's matrices, however many backends ran it.
+func assertTopLevelCounts(t *testing.T, name string, s Stats, tr *tree.Tree) {
+	t.Helper()
+	if s.Batches != 1 {
+		t.Errorf("%s batches = %d, want 1", name, s.Batches)
+	}
+	if c := s.Kernel("root").Calls; c != 1 {
+		t.Errorf("%s root calls = %d, want 1", name, c)
+	}
+	if ops, want := s.Kernel("matrices").Ops, uint64(len(tr.FullSchedule().Matrices)); ops != want {
+		t.Errorf("%s matrices ops = %d, want %d", name, ops, want)
+	}
+	if s.EffectiveGFLOPS <= 0 {
+		t.Errorf("%s effective GFLOPS = %v, want > 0", name, s.EffectiveGFLOPS)
 	}
 }

@@ -9,9 +9,10 @@ import (
 	"gobeagle/internal/trace"
 )
 
-// This file is the public surface of the span tracer (internal/trace): a
-// timeline counterpart to the aggregate counters of Stats. When tracing is
-// on, every layer of an instance records spans into per-shard ring buffers —
+// This file is the public surface of the span tracer (internal/trace), the
+// instance's one recorder: Stats reads the per-kernel aggregates the tracer
+// folds from its spans, and this surface exports the spans themselves as a
+// timeline. When tracing is on, every layer of an instance records spans into per-shard ring buffers —
 // the CPU scheduler its batches, dependency levels and per-worker tasks; the
 // accelerator framework its kernel launches and host↔device transfers on the
 // modeled device clock; multi-device instances their batch barriers,
@@ -20,18 +21,21 @@ import (
 // loadable in Perfetto (ui.perfetto.dev) or chrome://tracing.
 //
 // Tracing is off unless the instance was created with FlagTrace or
-// EnableTrace(true) was called. Disabled tracing costs one atomic load per
-// instrumented site, the same contract the telemetry layer keeps.
+// FlagTelemetry, or EnableTrace(true) or EnableTelemetry(true) was called —
+// one switch. Disabled tracing costs one atomic load per instrumented site.
 
-// EnableTrace switches span collection on or off at runtime. The span
-// buffers retain the most recent trace.TraceCapacity spans; Perfetto-scale
-// runs should export shortly after the region of interest.
+// EnableTrace switches span collection on or off at runtime (the same
+// switch as EnableTelemetry). The span buffers retain the most recent
+// trace.TraceCapacity spans; Perfetto-scale runs should export shortly after
+// the region of interest.
 func (in *Instance) EnableTrace(on bool) { in.tr.SetEnabled(on) }
 
 // TraceEnabled reports whether span collection is currently on.
 func (in *Instance) TraceEnabled() bool { return in.tr.Enabled() }
 
-// ResetTrace discards all retained spans; the enabled switch is unchanged.
+// ResetTrace discards all retained spans and, with them, the Stats
+// aggregates (it is the same operation as ResetStats); the enabled switch is
+// unchanged.
 func (in *Instance) ResetTrace() { in.tr.Reset() }
 
 // TraceSpanCount returns the number of currently retained spans.
@@ -99,9 +103,10 @@ func (in *Instance) RemoteTraceProcesses() []trace.Process {
 }
 
 // newInstanceTracer builds the tracer every instance carries: always present
-// so tracing can be toggled at runtime, enabled only when FlagTrace is set.
+// so instrumentation can be toggled at runtime, enabled only when FlagTrace
+// or FlagTelemetry is set.
 func newInstanceTracer(flags Flags) *trace.Tracer {
 	tr := trace.New()
-	tr.SetEnabled(flags&FlagTrace != 0)
+	tr.SetEnabled(flags&(FlagTrace|FlagTelemetry) != 0)
 	return tr
 }

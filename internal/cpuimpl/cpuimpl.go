@@ -1,11 +1,10 @@
 // Package cpuimpl provides the host CPU implementations of the library,
 // reproducing the paper's CPU lineage (§IV-D, §VI):
 //
-//   - Serial: the original single-threaded implementation, the baseline of
-//     every speedup figure in the paper;
+//   - Serial: the original single-threaded implementation with the generic
+//     kernels, the baseline of every speedup figure in the paper;
 //   - SSE: the serial implementation with the 4-state unrolled kernels, the
-//     analogue of the SSE intrinsics path (falls back to the generic kernels
-//     for non-nucleotide state counts, as BEAGLE's SSE path does);
+//     analogue of the SSE intrinsics path;
 //   - Futures: concurrency across independent operations in the tree
 //     (§VI-A) — operations are grouped into dependency levels and each
 //     operation of a level runs as its own asynchronous task;
@@ -20,6 +19,14 @@
 //     dispatched onto the same persistent pool, so wide trees with small
 //     pattern counts (where pure pattern chunking degrades to serial) still
 //     saturate the workers through operation-level concurrency.
+//
+// Threading and vectorisation are independent, as in BEAGLE: every strategy
+// except Serial runs the 4-state unrolled kernels when the state count is 4
+// (the threaded designs of §VI build on the SSE code path), and the generic
+// kernels otherwise. The kernel set is chosen once, when the engine is
+// created. A strategy differs from the others only in whether operations
+// are grouped into dependency levels and in how many pattern chunks each
+// operation is cut into; one dispatcher runs them all.
 package cpuimpl
 
 import (
@@ -27,7 +34,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 
 	"gobeagle/internal/engine"
@@ -106,6 +112,7 @@ type Engine[T kernels.Real] struct {
 	mode        Mode
 	threads     int
 	minPatterns int
+	kern        kernelSet[T]
 	pool        *workerPool
 	tr          *trace.Tracer
 	lane        int32
@@ -130,13 +137,57 @@ func newEngine[T kernels.Real](cfg engine.Config, mode Mode) *Engine[T] {
 		mode:        mode,
 		threads:     threads,
 		minPatterns: minPat,
+		kern:        genericKernels[T]{},
 		tr:          cfg.Trace,
 		lane:        int32(cfg.TraceLane),
+	}
+	if mode != Serial && cfg.Dims.StateCount == 4 {
+		e.kern = unrolled4Kernels[T]{}
 	}
 	if mode == ThreadPool || mode == ThreadPoolHybrid {
 		e.pool = newWorkerPool(threads, mode.String())
 	}
 	return e
+}
+
+// kernelSet is the partials kernel trio an engine runs, keyed by operand
+// kinds: pp for two partials children, sp for a compact-states child and a
+// partials child, ss for two compact-states children. newEngine picks the
+// set once per engine.
+type kernelSet[T kernels.Real] interface {
+	pp(dest, p1, m1, p2, m2 []T, d kernels.Dims, lo, hi int)
+	sp(dest []T, s1 []int32, m1 []T, p2, m2 []T, d kernels.Dims, lo, hi int)
+	ss(dest []T, s1 []int32, m1 []T, s2 []int32, m2 []T, d kernels.Dims, lo, hi int)
+}
+
+// genericKernels loop over any state count.
+type genericKernels[T kernels.Real] struct{}
+
+func (genericKernels[T]) pp(dest, p1, m1, p2, m2 []T, d kernels.Dims, lo, hi int) {
+	kernels.PartialsPartials(dest, p1, m1, p2, m2, d, lo, hi)
+}
+
+func (genericKernels[T]) sp(dest []T, s1 []int32, m1 []T, p2, m2 []T, d kernels.Dims, lo, hi int) {
+	kernels.StatesPartials(dest, s1, m1, p2, m2, d, lo, hi)
+}
+
+func (genericKernels[T]) ss(dest []T, s1 []int32, m1 []T, s2 []int32, m2 []T, d kernels.Dims, lo, hi int) {
+	kernels.StatesStates(dest, s1, m1, s2, m2, d, lo, hi)
+}
+
+// unrolled4Kernels are unrolled for 4 states: the SSE code path.
+type unrolled4Kernels[T kernels.Real] struct{}
+
+func (unrolled4Kernels[T]) pp(dest, p1, m1, p2, m2 []T, d kernels.Dims, lo, hi int) {
+	kernels.PartialsPartials4(dest, p1, m1, p2, m2, d, lo, hi)
+}
+
+func (unrolled4Kernels[T]) sp(dest []T, s1 []int32, m1 []T, p2, m2 []T, d kernels.Dims, lo, hi int) {
+	kernels.StatesPartials4(dest, s1, m1, p2, m2, d, lo, hi)
+}
+
+func (unrolled4Kernels[T]) ss(dest []T, s1 []int32, m1 []T, s2 []int32, m2 []T, d kernels.Dims, lo, hi int) {
+	kernels.StatesStates4(dest, s1, m1, s2, m2, d, lo, hi)
 }
 
 // Name identifies the implementation.
@@ -158,7 +209,7 @@ func (e *Engine[T]) Close() error {
 }
 
 // runOp executes one partial-likelihoods operation for patterns [lo, hi),
-// selecting the kernel by operand kinds and mode.
+// selecting the kernel of the engine's set by operand kinds.
 func (e *Engine[T]) runOp(op engine.Operation, lo, hi int) error {
 	d := e.Cfg.Dims
 	dest, err := e.DestPartials(op.Dest)
@@ -184,26 +235,13 @@ func (e *Engine[T]) runOp(op engine.Operation, lo, hi int) error {
 		p1, p2 = p2, p1
 		m1, m2 = m2, m1
 	}
-	useSSE := e.mode == SSE && d.StateCount == 4
 	switch {
 	case k1 == engine.OperandStates && k2 == engine.OperandStates:
-		if useSSE {
-			kernels.StatesStates4(dest, s1, m1, s2, m2, d, lo, hi)
-		} else {
-			kernels.StatesStates(dest, s1, m1, s2, m2, d, lo, hi)
-		}
+		e.kern.ss(dest, s1, m1, s2, m2, d, lo, hi)
 	case k1 == engine.OperandStates:
-		if useSSE {
-			kernels.StatesPartials4(dest, s1, m1, p2, m2, d, lo, hi)
-		} else {
-			kernels.StatesPartials(dest, s1, m1, p2, m2, d, lo, hi)
-		}
+		e.kern.sp(dest, s1, m1, p2, m2, d, lo, hi)
 	default:
-		if useSSE {
-			kernels.PartialsPartials4(dest, p1, m1, p2, m2, d, lo, hi)
-		} else {
-			kernels.PartialsPartials(dest, p1, m1, p2, m2, d, lo, hi)
-		}
+		e.kern.pp(dest, p1, m1, p2, m2, d, lo, hi)
 	}
 	// Fixed scaling first: previously written factors are applied to the
 	// fresh partials, then an optional rescale captures the residual.
@@ -302,34 +340,19 @@ func (e *Engine[T]) UpdatePartials(ops []engine.Operation) error {
 	if tstart >= 0 {
 		tbatch = e.tr.NextBatch()
 	}
-	p := e.Cfg.Dims.PatternCount
-	var err error
 	switch e.mode {
-	case Serial, SSE:
-		for _, op := range ops {
-			if err = e.runOp(op, 0, p); err != nil {
-				break
+	case Futures, ThreadPoolHybrid:
+		for li, level := range opLevels(ops) {
+			if err := e.runGroup(level, tbatch, li); err != nil {
+				return err
 			}
 		}
-	case Futures:
-		err = e.runFutures(ops, tbatch)
-	case ThreadCreate:
-		for _, op := range ops {
-			if err = e.runThreadCreate(op); err != nil {
-				break
+	default:
+		for i := range ops {
+			if err := e.runGroup(ops[i:i+1], tbatch, -1); err != nil {
+				return err
 			}
 		}
-	case ThreadPool:
-		for _, op := range ops {
-			if err = e.runThreadPool(op, tbatch); err != nil {
-				break
-			}
-		}
-	case ThreadPoolHybrid:
-		err = e.runHybrid(ops, tbatch)
-	}
-	if err != nil {
-		return err
 	}
 	e.tr.End(trace.Span{Kind: trace.KindBatch, Lane: e.lane, Batch: tbatch,
 		Start: tstart, Arg0: int64(len(ops)), Arg1: int64(skipped)})
@@ -340,143 +363,45 @@ func (e *Engine[T]) UpdatePartials(ops []engine.Operation) error {
 // value (Enabled false) when the engine was built without Config.Reuse.
 func (e *Engine[T]) ReuseStats() reuse.Stats { return e.Reuse.Stats() }
 
-// runFutures executes operations level by level; operations within a level
-// are independent in the tree topology and run concurrently, each as one
-// asynchronous task computing its full pattern range (§VI-A).
-func (e *Engine[T]) runFutures(ops []engine.Operation, tbatch uint64) error {
-	levels := opLevels(ops)
-	errs := make([]error, len(ops))
-	idx := 0
-	for li, level := range levels {
-		ltstart := e.levelStart(tbatch)
-		var wg sync.WaitGroup
-		for _, op := range level {
-			wg.Add(1)
-			go func(op engine.Operation, slot int) {
-				defer wg.Done()
-				errs[slot] = e.runOp(op, 0, e.Cfg.Dims.PatternCount)
-			}(op, idx)
-			idx++
-		}
-		wg.Wait()
-		e.recordLevel(tbatch, ltstart, li, len(level), len(level))
+// runGroup runs one group of mutually independent operations — a
+// dependency level of a leveled strategy (level >= 0), or a single operation
+// (level -1) — as (operation, pattern-chunk) tasks, and waits for all of
+// them. A traced level records its KindLevel span.
+func (e *Engine[T]) runGroup(group []engine.Operation, tbatch uint64, level int) error {
+	ltstart := int64(-1)
+	if level >= 0 && tbatch != 0 {
+		ltstart = e.tr.Now()
 	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	chunks := e.chunks(len(group))
+	err := e.fanOut(len(group), chunks, tbatch, func(i, lo, hi int) error {
+		return e.runOp(group[i], lo, hi)
+	})
+	if err == nil && level >= 0 {
+		e.tr.End(trace.Span{Kind: trace.KindLevel, Lane: e.lane, Batch: tbatch, Start: ltstart,
+			Arg0: trace.LevelArg(level, len(group)*chunks), Arg1: int64(len(group))})
 	}
-	return nil
+	return err
 }
 
-// runThreadCreate spawns fresh goroutines for one operation, partitioning
-// the patterns into equal chunks (§VI-B). Below the minimum pattern count it
-// stays serial.
-func (e *Engine[T]) runThreadCreate(op engine.Operation) error {
+// chunks returns how many pattern chunks each operation of a group of width
+// operations is cut into under the engine's strategy; never more than the
+// pattern count, so no chunk is empty.
+func (e *Engine[T]) chunks(width int) int {
 	p := e.Cfg.Dims.PatternCount
-	if p < e.minPatterns || e.threads < 2 {
-		return e.runOp(op, 0, p)
-	}
-	n := e.threads
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for w := 0; w < n; w++ {
-		lo := w * p / n
-		hi := (w + 1) * p / n
-		if lo == hi {
-			continue
+	c := 1
+	switch e.mode {
+	case ThreadCreate, ThreadPool:
+		if p >= e.minPatterns {
+			c = e.threads
 		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			errs[w] = e.runOp(op, lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	case ThreadPoolHybrid:
+		// A lone operation below the minimum pattern count gains nothing
+		// from chunking and stays serial, as in the plain thread pool.
+		if width > 1 || p >= e.minPatterns {
+			c = HybridChunks(width, p, e.threads)
 		}
 	}
-	return nil
-}
-
-// runThreadPool dispatches one operation's pattern chunks onto the
-// persistent worker pool (§VI-C).
-func (e *Engine[T]) runThreadPool(op engine.Operation, tbatch uint64) error {
-	p := e.Cfg.Dims.PatternCount
-	if p < e.minPatterns || e.threads < 2 {
-		return e.runOp(op, 0, p)
-	}
-	n := e.threads
-	errs := make([]error, n)
-	traceOn := tbatch != 0
-	var wg sync.WaitGroup
-	for w := 0; w < n; w++ {
-		lo := w * p / n
-		hi := (w + 1) * p / n
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		e.pool.submit(func(worker int) {
-			defer wg.Done()
-			if traceOn {
-				ts := e.tr.Now()
-				errs[w] = e.runOp(op, lo, hi)
-				e.tr.Record(trace.Span{Kind: trace.KindTask, Lane: int32(worker), Batch: tbatch,
-					Start: ts, Dur: e.tr.Now() - ts, Arg0: int64(hi - lo)})
-				return
-			}
-			errs[w] = e.runOp(op, lo, hi)
-		})
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runHybrid executes operations level by level like runFutures, but instead
-// of one task per operation it dispatches every (operation, pattern-chunk)
-// pair of a level onto the persistent worker pool. The chunk count adapts to
-// the level width: wide levels run one chunk per operation (pure op-level
-// concurrency), narrow levels split patterns until the pool is saturated,
-// and no chunk is cut below HybridMinChunk patterns — so small-pattern
-// problems with independent operations no longer fall back to serial.
-func (e *Engine[T]) runHybrid(ops []engine.Operation, tbatch uint64) error {
-	p := e.Cfg.Dims.PatternCount
-	if e.threads < 2 {
-		if tbatch == 0 {
-			for _, op := range ops {
-				if err := e.runOp(op, 0, p); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		// Single-threaded fallback: still report the dependency leveling so
-		// the level spans stay meaningful on one-core hosts.
-		for li, level := range opLevels(ops) {
-			ltstart := e.levelStart(tbatch)
-			for _, op := range level {
-				if err := e.runOp(op, 0, p); err != nil {
-					return err
-				}
-			}
-			e.recordLevel(tbatch, ltstart, li, len(level), len(level))
-		}
-		return nil
-	}
-	for li, level := range opLevels(ops) {
-		if err := e.runHybridLevel(level, tbatch, li); err != nil {
-			return err
-		}
-	}
-	return nil
+	return min(c, p)
 }
 
 // HybridChunks returns how many pattern chunks each operation of a level is
@@ -494,47 +419,50 @@ func HybridChunks(levelWidth, patterns, threads int) int {
 	return chunks
 }
 
-// runHybridLevel dispatches one dependency level's (operation, chunk) tasks
-// and waits for the barrier at the end of the level.
-func (e *Engine[T]) runHybridLevel(level []engine.Operation, tbatch uint64, levelIdx int) error {
+// fanOut runs task(i, lo, hi) for every item i < items and each of its
+// chunks equal pattern chunks [lo, hi), waits for all of them and returns
+// the first error. The tasks run inline when there is one task or the engine
+// has one thread, on the persistent worker pool when the engine has one, and
+// on fresh goroutines otherwise. A traced batch (tbatch nonzero) records a
+// KindTask span per pool task.
+func (e *Engine[T]) fanOut(items, chunks int, tbatch uint64, task func(i, lo, hi int) error) error {
 	p := e.Cfg.Dims.PatternCount
-	ltstart := e.levelStart(tbatch)
-	traceOn := ltstart >= 0
-	if len(level) == 1 && p < e.minPatterns {
-		// A single small operation gains nothing from chunking; stay serial,
-		// exactly as the plain thread-pool strategy does.
-		err := e.runOp(level[0], 0, p)
-		if err == nil {
-			e.recordLevel(tbatch, ltstart, levelIdx, 1, 1)
-		}
-		return err
+	n := items * chunks
+	bounds := func(t int) (i, lo, hi int) {
+		c := t % chunks
+		return t / chunks, c * p / chunks, (c + 1) * p / chunks
 	}
-	chunks := HybridChunks(len(level), p, e.threads)
-	errs := make([]error, len(level)*chunks)
-	tasks := 0
-	var wg sync.WaitGroup
-	for i, op := range level {
-		for c := 0; c < chunks; c++ {
-			lo := c * p / chunks
-			hi := (c + 1) * p / chunks
-			if lo == hi {
-				continue
+	if n == 1 || e.threads < 2 {
+		for t := 0; t < n; t++ {
+			if err := task(bounds(t)); err != nil {
+				return err
 			}
-			slot := i*chunks + c
-			tasks++
-			wg.Add(1)
-			e.pool.submit(func(worker int) {
-				defer wg.Done()
-				if traceOn {
-					ts := e.tr.Now()
-					errs[slot] = e.runOp(op, lo, hi)
-					e.tr.Record(trace.Span{Kind: trace.KindTask, Lane: int32(worker), Batch: tbatch,
-						Start: ts, Dur: e.tr.Now() - ts, Arg0: int64(hi - lo)})
-					return
-				}
-				errs[slot] = e.runOp(op, lo, hi)
-			})
 		}
+		return nil
+	}
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for t := 0; t < n; t++ {
+		i, lo, hi := bounds(t)
+		if e.pool == nil {
+			go func() {
+				defer wg.Done()
+				errs[t] = task(i, lo, hi)
+			}()
+			continue
+		}
+		e.pool.submit(func(worker int) {
+			defer wg.Done()
+			if tbatch == 0 {
+				errs[t] = task(i, lo, hi)
+				return
+			}
+			ts := e.tr.Now()
+			errs[t] = task(i, lo, hi)
+			e.tr.Record(trace.Span{Kind: trace.KindTask, Lane: int32(worker), Batch: tbatch,
+				Start: ts, Dur: e.tr.Now() - ts, Arg0: int64(hi - lo)})
+		})
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -542,24 +470,7 @@ func (e *Engine[T]) runHybridLevel(level []engine.Operation, tbatch uint64, leve
 			return err
 		}
 	}
-	e.recordLevel(tbatch, ltstart, levelIdx, len(level), tasks)
 	return nil
-}
-
-// levelStart opens the span of one dependency level: the start timestamp,
-// or -1 when the batch is untraced (tbatch 0).
-func (e *Engine[T]) levelStart(tbatch uint64) int64 {
-	if tbatch == 0 {
-		return -1
-	}
-	return e.tr.Now()
-}
-
-// recordLevel ends the span of one dependency level of a leveled strategy,
-// opened by levelStart: ops operations dispatched as tasks concurrent tasks.
-func (e *Engine[T]) recordLevel(tbatch uint64, start int64, level, ops, tasks int) {
-	e.tr.End(trace.Span{Kind: trace.KindLevel, Lane: e.lane, Batch: tbatch,
-		Start: start, Arg0: trace.LevelArg(level, tasks), Arg1: int64(ops)})
 }
 
 // opLevels groups operations into dependency levels so that all operations
@@ -674,25 +585,14 @@ func (e *Engine[T]) siteLikelihoods(rootBuf, cumScaleBuf int) (site, scale []flo
 	}
 	d := e.Cfg.Dims
 	site = make([]float64, d.PatternCount)
-	if (e.mode == ThreadPool || e.mode == ThreadPoolHybrid) && d.PatternCount >= e.minPatterns && e.threads > 1 {
-		n := e.threads
-		var wg sync.WaitGroup
-		for w := 0; w < n; w++ {
-			lo := w * d.PatternCount / n
-			hi := (w + 1) * d.PatternCount / n
-			if lo == hi {
-				continue
-			}
-			wg.Add(1)
-			e.pool.submit(func(int) {
-				defer wg.Done()
-				kernels.SiteLikelihoods(site, root, e.CatWts, e.Freqs, d, lo, hi)
-			})
-		}
-		wg.Wait()
-	} else {
-		kernels.SiteLikelihoods(site, root, e.CatWts, e.Freqs, d, 0, d.PatternCount)
+	chunks := 1
+	if e.pool != nil && d.PatternCount >= e.minPatterns {
+		chunks = min(e.threads, d.PatternCount)
 	}
+	e.fanOut(1, chunks, 0, func(_, lo, hi int) error {
+		kernels.SiteLikelihoods(site, root, e.CatWts, e.Freqs, d, lo, hi)
+		return nil
+	})
 	return site, scale, nil
 }
 
@@ -790,7 +690,5 @@ func (e *Engine[T]) CalculateEdgeDerivatives(parentBuf, childBuf, matrix, d1Matr
 
 // Modes returns all CPU modes in presentation order.
 func Modes() []Mode {
-	m := []Mode{Serial, SSE, Futures, ThreadCreate, ThreadPool, ThreadPoolHybrid}
-	sort.Slice(m, func(i, j int) bool { return m[i] < m[j] })
-	return m
+	return []Mode{Serial, SSE, Futures, ThreadCreate, ThreadPool, ThreadPoolHybrid}
 }

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"gobeagle/internal/engine"
+	"gobeagle/internal/kernels"
 	"gobeagle/internal/seqgen"
 	"gobeagle/internal/substmodel"
 	"gobeagle/internal/tree"
@@ -233,7 +234,7 @@ func TestAliasedBatchesMatchSerial(t *testing.T) {
 	ref := aliasedEngine(t, tr, Serial, patterns)
 	want := runAliasedBatch(t, ref, tr, patterns)
 	ref.Close()
-	for _, mode := range []Mode{Futures, ThreadCreate, ThreadPool, ThreadPoolHybrid} {
+	for _, mode := range []Mode{SSE, Futures, ThreadCreate, ThreadPool, ThreadPoolHybrid} {
 		for rep := 0; rep < 5; rep++ { // repeated runs make races likely to fire
 			e := aliasedEngine(t, tr, mode, patterns)
 			got := runAliasedBatch(t, e, tr, patterns)
@@ -298,6 +299,93 @@ func TestHybridChunksPolicy(t *testing.T) {
 			t.Errorf("HybridChunks(%d, %d, %d) = %d, want %d",
 				c.width, c.patterns, c.threads, got, c.want)
 		}
+	}
+}
+
+// kernelChoice reports whether the engine runs the unrolled 4-state kernel
+// set (true) or the generic set (false).
+func kernelChoice[T kernels.Real](t *testing.T, e *Engine[T]) bool {
+	t.Helper()
+	switch e.kern.(type) {
+	case unrolled4Kernels[T]:
+		return true
+	case genericKernels[T]:
+		return false
+	}
+	t.Fatalf("%v: unknown kernel set %T", e.mode, e.kern)
+	return false
+}
+
+// TestKernelSetChoice pins the kernel choice made at engine creation: every
+// strategy except Serial runs the unrolled kernels at 4 states, and every
+// strategy runs the generic kernels at 20 and 61 states, in both precisions.
+func TestKernelSetChoice(t *testing.T) {
+	for _, mode := range Modes() {
+		for _, states := range []int{4, 20, 61} {
+			for _, single := range []bool{false, true} {
+				cfg := engine.Config{
+					TipCount: 2, PartialsBuffers: 3, MatrixBuffers: 2, EigenBuffers: 1,
+					Dims:            kernels.Dims{StateCount: states, PatternCount: 8, CategoryCount: 1},
+					SinglePrecision: single,
+					Threads:         2,
+				}
+				e, err := New(cfg, mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var unrolled bool
+				switch e := e.(type) {
+				case *Engine[float64]:
+					unrolled = kernelChoice(t, e)
+				case *Engine[float32]:
+					unrolled = kernelChoice(t, e)
+				}
+				e.Close()
+				if want := mode != Serial && states == 4; unrolled != want {
+					t.Errorf("%v states=%d single=%v: unrolled kernels %v, want %v",
+						mode, states, single, unrolled, want)
+				}
+			}
+		}
+	}
+}
+
+// TestStrategyChunks pins the one scheduling fact that tells the strategies
+// apart besides dependency leveling: the pattern-chunk count per operation.
+func TestStrategyChunks(t *testing.T) {
+	cases := []struct {
+		mode                               Mode
+		patterns, minPatterns, width, want int
+	}{
+		{Serial, 1024, 512, 1, 1},
+		{SSE, 1024, 512, 1, 1},
+		{Futures, 1024, 512, 3, 1},
+		{ThreadCreate, 1024, 512, 1, 4},
+		{ThreadCreate, 100, 512, 1, 1}, // below the minimum: serial
+		{ThreadPool, 1024, 512, 1, 4},
+		{ThreadPool, 100, 512, 1, 1},
+		{ThreadPool, 3, 1, 1, 3},            // never an empty chunk
+		{ThreadPoolHybrid, 100, 512, 1, 1},  // lone small op stays serial
+		{ThreadPoolHybrid, 128, 512, 2, 2},  // wide level still chunked
+		{ThreadPoolHybrid, 1024, 512, 1, 4}, // HybridChunks(1, 1024, 4)
+		{ThreadPoolHybrid, 1024, 512, 8, 1}, // level wider than the pool
+	}
+	for _, c := range cases {
+		cfg := engine.Config{
+			TipCount: 2, PartialsBuffers: 3, MatrixBuffers: 2, EigenBuffers: 1,
+			Dims:            kernels.Dims{StateCount: 4, PatternCount: c.patterns, CategoryCount: 1},
+			MinPatternsWork: c.minPatterns,
+			Threads:         4,
+		}
+		e, err := New(cfg, c.mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := e.(*Engine[float64]).chunks(c.width); got != c.want {
+			t.Errorf("%v patterns=%d min=%d width=%d: %d chunks, want %d",
+				c.mode, c.patterns, c.minPatterns, c.width, got, c.want)
+		}
+		e.Close()
 	}
 }
 

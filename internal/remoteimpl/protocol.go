@@ -277,11 +277,18 @@ func readMsg(r io.Reader, v any) (int, error) {
 	if n > maxFrame {
 		return 4, fmt.Errorf("remoteimpl: frame length %d exceeds limit", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	// The body grows with the bytes actually received, not with the declared
+	// length, so a peer declaring a huge frame and sending a few bytes costs
+	// a few bytes. The up-front capacity (bytes.MinRead over the frame, up to
+	// a 64 KiB cap) lets ReadFrom take a typical frame without regrowing.
+	var body bytes.Buffer
+	body.Grow(int(min(n, 64<<10)) + bytes.MinRead)
+	if got, err := body.ReadFrom(io.LimitReader(r, int64(n))); err != nil {
 		return 4, err
+	} else if got < int64(n) {
+		return 4, io.ErrUnexpectedEOF
 	}
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(v); err != nil {
+	if err := gob.NewDecoder(&body).Decode(v); err != nil {
 		return 4 + int(n), fmt.Errorf("remoteimpl: decode: %w", err)
 	}
 	return 4 + int(n), nil
